@@ -9,8 +9,8 @@
  * sketch) and the process peak RSS — the numbers behind the
  * "Million-request sweeps" table in the README. The smaller
  * paired variants measure the event cores against each other
- * (Heap vs LegacyScan) and serial vs parallel replica stepping at
- * a size the O(n)-per-round legacy core can still finish quickly.
+ * (Heap vs LegacyScan), on calm traffic and through a total
+ * outage, and serial vs parallel replica stepping.
  */
 
 #include <benchmark/benchmark.h>
@@ -50,8 +50,12 @@ sweepTrace(int64_t num_requests)
     return options;
 }
 
+/** @p outage crashes every replica at 20% of the trace span and
+ *  recovers it at 50%: a total outage that parks every arrival in
+ *  between in the fleet's retry buffer. */
 serving::FleetOptions
-sweepFleet(serving::FleetEventCore core, int64_t step_threads)
+sweepFleet(serving::FleetEventCore core, int64_t step_threads,
+           const serving::TraceOptions &trace, bool outage)
 {
     serving::FleetOptions options;
     options.num_replicas = 4;
@@ -65,18 +69,29 @@ sweepFleet(serving::FleetEventCore core, int64_t step_threads)
         serving::MetricsOptions::KeepRecords::Never;
     options.event_core = core;
     options.step_threads = step_threads;
+    if (outage) {
+        double span = static_cast<double>(trace.num_requests) *
+                      trace.mean_interarrival_ms;
+        for (int r = 0; r < options.num_replicas; ++r) {
+            options.faults.events.push_back(
+                {0.2 * span, r, serving::FaultKind::Crash, 1.0});
+            options.faults.events.push_back(
+                {0.5 * span, r, serving::FaultKind::Recover, 1.0});
+        }
+    }
     return options;
 }
 
 serving::FleetResult
 runSweep(int64_t num_requests, serving::FleetEventCore core,
-         int64_t step_threads)
+         int64_t step_threads, bool outage = false)
 {
+    serving::TraceOptions options = sweepTrace(num_requests);
     serving::TraceGenerator trace(serving::TraceShape::Poisson,
-                                  sweepTrace(num_requests));
+                                  options);
     serving::AnalyticCostModel cost;
-    serving::FleetScheduler fleet(sweepFleet(core, step_threads),
-                                  cost);
+    serving::FleetScheduler fleet(
+        sweepFleet(core, step_threads, options, outage), cost);
     return fleet.run(trace);
 }
 
@@ -107,31 +122,43 @@ BENCHMARK(BM_ServeMillionRequestSweep)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-/** Event cores head to head. On calm traffic the two sit within
- *  noise of each other — per-round phase work is bounded by
- *  replica count either way, and the heap's advantage (next-round
- *  selection independent of retry-buffer depth and per-entry
- *  deadline scans) only bites under deep fault backlogs. This
- *  pairing is the regression guard that keeps the default core's
- *  constant factors honest against the oracle's wall clock. */
+/** Event cores head to head, on calm traffic and through a total
+ *  outage (args: core, requests, outage). Both cores run the same
+ *  phases and differ only in how they find the next instant, so
+ *  they measure within noise of each other in both shapes. The
+ *  outage shape is the regression guard for the retry buffer:
+ *  parked requests cost nothing per round until a replica is
+ *  eligible again, so it stays linear in trace length on either
+ *  core (its redispatch_picks counter is at most the number of
+ *  parks). The calm pairing keeps the default core's constant
+ *  factors honest against the oracle's wall clock. */
 void
 BM_SweepEventCore(benchmark::State &state)
 {
     auto core =
         static_cast<serving::FleetEventCore>(state.range(0));
     int64_t num_requests = state.range(1);
+    bool outage = state.range(2) != 0;
     serving::FleetResult result;
     for (auto _ : state)
-        result = runSweep(num_requests, core, 1);
+        result = runSweep(num_requests, core, 1, outage);
     state.counters["completed"] =
         static_cast<double>(result.metrics.completed);
+    state.counters["redispatch_picks"] =
+        static_cast<double>(result.metrics.redispatch_picks);
 }
 BENCHMARK(BM_SweepEventCore)
     ->ArgsProduct(
         {{static_cast<int64_t>(serving::FleetEventCore::Heap),
           static_cast<int64_t>(
               serving::FleetEventCore::LegacyScan)},
-         {20000, 100000}})
+         {20000, 100000},
+         {0}})
+    ->Args({static_cast<int64_t>(serving::FleetEventCore::Heap),
+            20000, 1})
+    ->Args({static_cast<int64_t>(
+                serving::FleetEventCore::LegacyScan),
+            20000, 1})
     ->Unit(benchmark::kMillisecond);
 
 /** Serial vs parallel replica stepping on the heap core. Results

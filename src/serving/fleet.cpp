@@ -81,9 +81,10 @@ struct EventAfter
 };
 
 /** One fleet run: the state and round phases shared by both event
- *  cores. runLegacy() is the original O(n)-per-round loop, kept
- *  as the differential oracle; runHeap() drives the identical
- *  phases off the typed-event heap. */
+ *  cores. runLegacy() is the original loop that re-derives the
+ *  next instant by scanning the replicas each round, kept as the
+ *  differential oracle; runHeap() drives the identical phases off
+ *  the typed-event heap. */
 struct FleetRun
 {
     const FleetOptions &options;
@@ -243,9 +244,9 @@ struct FleetRun
      *  stage the wake-ups the legacy scan would have derived: a
      *  retry event when the entry becomes ready in the future, a
      *  deadline event when it could expire in the future. Entries
-     *  ready at or before now need no event — they are retried by
-     *  every round and never wake the loop on their own (exactly
-     *  the legacy next_t rule). */
+     *  ready at or before now need no event — they route in the
+     *  first round that has an eligible replica, and never wake
+     *  the loop on their own (exactly the legacy next_t rule). */
     void parkPending(double ready, PendingRequest pr)
     {
         int64_t id = pr.req.id;
@@ -294,29 +295,67 @@ struct FleetRun
         engines[static_cast<size_t>(target)].offer(r, now);
     }
 
-    /** Route every due retry-buffer entry to an eligible replica
-     *  (back into the buffer, same key, when there is none).
+    /** Some replica can take work (the balancers' eligibility
+     *  rule: up and not draining). */
+    bool anyEligible() const
+    {
+        for (size_t i = 0; i < static_cast<size_t>(n); ++i)
+            if (up[i] && !engines[i].draining())
+                return true;
+        return false;
+    }
+
+    /** Route every due retry-buffer entry to an eligible replica.
      *  Readmission is front-insertion, so dispatching in *reverse*
      *  (ready, id) order leaves earlier requests nearer the head
-     *  on a shared target. */
+     *  on a shared target.
+     *
+     *  With no eligible replica the due entries stay parked under
+     *  their keys, untouched: eligibility only changes in the
+     *  faults phase, which precedes this one, and every balancer
+     *  fails exactly when the eligible set is empty (a failed
+     *  pick has no side effect). So when any replica is eligible,
+     *  every pick below succeeds, and a parked request costs
+     *  nothing per round until an eligibility change lets the
+     *  next round route it. */
     void redispatchDue()
     {
-        std::vector<std::pair<std::pair<double, int64_t>,
-                              PendingRequest>>
-            due;
+        if (pending.empty() || pending.begin()->first.first > now ||
+            !anyEligible())
+            return;
+        std::vector<PendingRequest> due;
         for (auto it = pending.begin();
              it != pending.end() && it->first.first <= now;) {
-            due.emplace_back(it->first, std::move(it->second));
+            due.push_back(std::move(it->second));
             it = erasePending(it);
         }
         for (auto it = due.rbegin(); it != due.rend(); ++it) {
-            int target = lb->pick(it->second.req, statuses());
-            if (target < 0)
-                parkPending(it->first.first,
-                            std::move(it->second));
-            else
-                engines[static_cast<size_t>(target)].readmit(
-                    it->second.req, it->second.state);
+            ++result.metrics.redispatch_picks;
+            int target = lb->pick(it->req, statuses());
+            ST_ASSERT(target >= 0,
+                      "balancer refused an eligible fleet");
+            engines[static_cast<size_t>(target)].readmit(it->req,
+                                                         it->state);
+        }
+    }
+
+    /** Expire the retry buffer's overdue entries (a parked
+     *  request can expire mid-outage) off its (deadline, id)
+     *  index, in deadline order: O(1) when nothing is overdue,
+     *  O(log n) per expiry. The rejection log sorts by
+     *  (instant, id) at finalize, so the in-round order is
+     *  free. */
+    void expirePending()
+    {
+        while (!pending_deadlines.empty() &&
+               pending_deadlines.begin()->first <= now) {
+            int64_t id = pending_deadlines.begin()->second;
+            auto it = pending.find({pending_ready.at(id), id});
+            ST_ASSERT(it != pending.end(),
+                      "retry-buffer deadline index out of sync");
+            rejectFleet(it->second.req,
+                        RejectReason::DeadlineExpired);
+            erasePending(it);
         }
     }
 
@@ -523,8 +562,8 @@ struct FleetRun
         fm.makespan_ms = now;
     }
 
-    // ---- Legacy core: the original per-round scans, kept as the
-    // differential oracle for the heap core. ----
+    // ---- Legacy core: the original per-round replica scans,
+    // kept as the differential oracle for the heap core. ----
 
     FleetResult runLegacy()
     {
@@ -544,20 +583,11 @@ struct FleetRun
             // 3. Arrivals, in (arrival, id) order.
             arrivalsPhase();
 
-            // 4. Deadline sweeps: replica queues, then the retry
-            // buffer (a parked request can expire mid-outage).
+            // 4. Deadline sweeps: replica queues (O(1) when
+            // deadline-free, queue.h), then the retry buffer.
             for (auto &eng : engines)
                 eng.expireDeadlines(now);
-            for (auto it = pending.begin();
-                 it != pending.end();) {
-                const Request &r = it->second.req;
-                if (r.deadline_ms > 0.0 && r.deadline_ms <= now) {
-                    rejectFleet(r, RejectReason::DeadlineExpired);
-                    it = erasePending(it);
-                } else {
-                    ++it;
-                }
-            }
+            expirePending();
 
             // 5. Due retries.
             redispatchDue();
@@ -586,7 +616,9 @@ struct FleetRun
             // Advance to the next event: earliest step end,
             // fault, arrival, future retry, or parked-request
             // deadline (parked entries with ready <= now wait on
-            // one of the others — or expire, or strand).
+            // one of the others — or expire, or strand). The
+            // retry buffer's two indexes each answer their
+            // earliest instant after now in one lookup.
             double next_t = injector.nextAtMs();
             for (auto &eng : engines)
                 if (eng.busy())
@@ -599,12 +631,14 @@ struct FleetRun
             if (!arrivals.exhausted())
                 next_t =
                     std::min(next_t, arrivals.nextArrivalMs());
-            for (const auto &[key, p] : pending) {
-                if (key.first > now)
-                    next_t = std::min(next_t, key.first);
-                if (p.req.deadline_ms > now)
-                    next_t = std::min(next_t, p.req.deadline_ms);
-            }
+            const std::pair<double, int64_t> after_now{
+                now, std::numeric_limits<int64_t>::max()};
+            auto ready = pending.upper_bound(after_now);
+            if (ready != pending.end())
+                next_t = std::min(next_t, ready->first.first);
+            auto deadline = pending_deadlines.upper_bound(after_now);
+            if (deadline != pending_deadlines.end())
+                next_t = std::min(next_t, deadline->first);
             if (next_t == inf) {
                 strandPending();
                 break;
@@ -722,24 +756,11 @@ struct FleetRun
                 events.push({arrival_event_t, EvArrival, 0, 0});
             }
 
-            // 4. Deadline sweeps. Engine queues are O(1) when
-            // deadline-free (queue.h); the retry buffer expires
-            // off its (deadline, id) index in deadline order —
-            // the rejection log sorts by (instant, id) at
-            // finalize, so the in-round order is free.
+            // 4. Deadline sweeps: replica queues (O(1) when
+            // deadline-free, queue.h), then the retry buffer.
             for (auto &eng : engines)
                 eng.expireDeadlines(now);
-            while (!pending_deadlines.empty() &&
-                   pending_deadlines.begin()->first <= now) {
-                auto [deadline, id] = *pending_deadlines.begin();
-                auto it = pending.find({pending_ready.at(id), id});
-                ST_ASSERT(it != pending.end(),
-                          "retry-buffer deadline index out of "
-                          "sync");
-                rejectFleet(it->second.req,
-                            RejectReason::DeadlineExpired);
-                erasePending(it);
-            }
+            expirePending();
 
             // 5. Due retries.
             redispatchDue();

@@ -25,23 +25,37 @@
  * **Event cores.** Two interchangeable implementations pick the
  * next instant (FleetOptions::event_core); both then run the same
  * six phases, so their results are bit-identical — pinned pairwise
- * by the differential suite over the 100-seed fault scenarios.
- * LegacyScan re-derives the minimum by scanning every engine, the
- * whole retry buffer, and the arrival cursor each round: O(n) per
- * round, fine at hundreds of requests, the bottleneck at millions.
- * Heap (the default) keeps a min-heap of typed events —
- * completion, fault, arrival, retry-due, retry-deadline — ordered
- * by (time, category, replica/request id) with the category order
- * above encoded in the comparator, and invalidates stale entries
- * lazily (a completion event carries its launch generation; retry
- * and deadline events are checked against the buffer): O(log n)
- * per event. Per-round work that scans the *fleet* (completions
- * due, launches, step totals) stays linear in num_replicas — a
- * small fixed constant, not trace length. Queued-request deadline
- * expiry is lazy in both cores: a queued request expires at the
- * next round at or after its deadline (stamped at that round's
- * instant), and its deadline alone never wakes the loop — only
- * retry-buffer deadlines do.
+ * by the differential suite over the 100-seed fault scenarios,
+ * and against recorded per-seed golden digests. LegacyScan
+ * re-derives the minimum by scanning every engine each round and
+ * reading the retry buffer's indexes. Heap (the default) keeps a
+ * min-heap of typed events — completion, fault, arrival,
+ * retry-due, retry-deadline — ordered by (time, category,
+ * replica/request id) with the category order above encoded in
+ * the comparator, and invalidates stale entries lazily (a
+ * completion event carries its launch generation; retry and
+ * deadline events are checked against the buffer). Per-round
+ * work that scans the *fleet* (completions due, launches, step
+ * totals) stays linear in num_replicas — a small fixed constant,
+ * not trace length. Everything else costs O(log n) per request
+ * event (arrival, park, route, expiry) in both cores, outages
+ * included: the retry buffer is touched only by entries that
+ * change state, never swept.
+ *
+ * The rule that keeps an outage linear is the **eligibility
+ * guard**: phase 5 does nothing unless some parked request is due
+ * *and* some replica is eligible (up and not draining).
+ * Eligibility changes only in phase 2, and every balancer fails
+ * exactly when the eligible set is empty, so the guard decides
+ * every pick of the round: while no replica is eligible the due
+ * requests stay parked untouched, and the first round after an
+ * eligibility change (Recover, reload done, DrainEnd, swap rejoin)
+ * routes them all. FleetMetrics::redispatch_picks counts the
+ * routes, so this is asserted (scale suite), not assumed.
+ * Queued-request deadline expiry is lazy in both cores: a queued
+ * request expires at the next round at or after its deadline
+ * (stamped at that round's instant), and its deadline alone never
+ * wakes the loop — only retry-buffer deadlines do.
  *
  * **Failover.** A crash evacuates the replica's resident and
  * queued requests with their ResumeState (tokens already emitted
@@ -90,8 +104,8 @@ namespace serving {
  *  is tested against. */
 enum class FleetEventCore
 {
-    Heap,       ///< O(log n) typed-event min-heap (default)
-    LegacyScan, ///< O(n)-per-round scans (oracle)
+    Heap,       ///< typed-event min-heap (default)
+    LegacyScan, ///< per-round replica scans (oracle)
 };
 
 /** Fleet knobs. */
@@ -228,6 +242,12 @@ struct FleetMetrics
     int64_t preemptions = 0;
     int64_t total_output_tokens = 0;
     int64_t steps = 0; ///< committed across the fleet
+
+    /** Balancer picks made for retry-buffer entries. Every pick
+     *  routes (see the eligibility guard in the file header), so
+     *  this is at most the number of times a request was parked:
+     *  a complexity counter, not a behaviour. */
+    int64_t redispatch_picks = 0;
 
     double makespan_ms = 0.0;
 

@@ -2,21 +2,29 @@
  *  parallel stepping: over 100 seeded (trace, fleet-config,
  *  fault-plan) scenarios, the Heap core must reproduce the
  *  LegacyScan oracle bit-for-bit, stepping with 2 or 8 threads
- *  must reproduce serial stepping bit-for-bit, and serving a
+ *  must reproduce serial stepping bit-for-bit, serving a
  *  TraceGenerator must reproduce serving the materialized vector
- *  of the same generator. "Bit-for-bit" is checked on every
- *  observable: merged request records, per-replica step records,
- *  rejection and loss logs, every aggregate counter, the makespan,
- *  and the streaming latency sketch's quantiles. */
+ *  of the same generator, and both cores must reproduce the
+ *  recorded golden digest of each scenario. "Bit-for-bit" is
+ *  checked on every observable: merged request records,
+ *  per-replica step records, rejection and loss logs, every
+ *  aggregate counter, the makespan, and the streaming latency
+ *  sketch's quantiles. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <ios>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "serving/cost_model.h"
 #include "serving/fleet.h"
 #include "serving/trace.h"
+#include "testing/fleet_golden_digests.h"
 
 using namespace streamtensor;
 using serving::Request;
@@ -118,91 +126,177 @@ runScenario(const Scenario &s, serving::FleetEventCore core,
                          : serving::burstyTrace(s.trace));
 }
 
-void
-expectSameRequests(const std::vector<serving::RequestMetrics> &a,
-                   const std::vector<serving::RequestMetrics> &b)
+/** One observable of a fleet run, flattened to its bit pattern:
+ *  @p field names it (with @p index inside a record list) so a
+ *  mismatch reports where the runs diverged. */
+struct Observable
 {
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].id, b[i].id);
-        EXPECT_EQ(a[i].output_len, b[i].output_len);
-        EXPECT_EQ(a[i].preemptions, b[i].preemptions);
-        EXPECT_EQ(a[i].failovers, b[i].failovers);
-        EXPECT_EQ(a[i].replica, b[i].replica);
-        EXPECT_EQ(a[i].arrival_ms, b[i].arrival_ms);
-        EXPECT_EQ(a[i].first_token_ms, b[i].first_token_ms);
-        EXPECT_EQ(a[i].finish_ms, b[i].finish_ms);
+    const char *field;
+    size_t index;
+    uint64_t bits;
+
+    bool operator==(const Observable &o) const
+    {
+        return std::string_view(field) == o.field &&
+               index == o.index && bits == o.bits;
+    }
+};
+
+uint64_t
+bitsOf(double v)
+{
+    uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+void
+addRequests(std::vector<Observable> &out, const char *field,
+            const std::vector<serving::RequestMetrics> &records)
+{
+    out.push_back({field, 0, records.size()});
+    for (size_t i = 0; i < records.size(); ++i) {
+        const serving::RequestMetrics &r = records[i];
+        for (int64_t v : {r.id, r.output_len, r.preemptions,
+                          r.failovers,
+                          static_cast<int64_t>(r.replica)})
+            out.push_back({field, i, static_cast<uint64_t>(v)});
+        for (double v : {r.arrival_ms, r.first_token_ms,
+                         r.finish_ms})
+            out.push_back({field, i, bitsOf(v)});
     }
 }
 
+void
+addIds(std::vector<Observable> &out, const char *field, size_t index,
+       const std::vector<int64_t> &ids)
+{
+    out.push_back({field, index, ids.size()});
+    for (int64_t id : ids)
+        out.push_back({field, index, static_cast<uint64_t>(id)});
+}
+
+/** Every observable of a run, in a fixed order: the aggregate
+ *  counters, makespan and per-replica up-time, the latency
+ *  sketch's count and quantiles, the merged request records, the
+ *  rejection and loss logs, the step-limit flag, and each
+ *  replica's step records and request records. Complexity
+ *  counters (redispatch_picks) are deliberately absent: they
+ *  measure how much work a run did, not what it served, and are
+ *  compared separately. */
+std::vector<Observable>
+observables(const serving::FleetResult &res)
+{
+    const serving::FleetMetrics &m = res.metrics;
+    std::vector<Observable> out;
+    auto count = [&](const char *field, int64_t v) {
+        out.push_back({field, 0, static_cast<uint64_t>(v)});
+    };
+    auto real = [&](const char *field, size_t index, double v) {
+        out.push_back({field, index, bitsOf(v)});
+    };
+    count("completed", m.completed);
+    count("rejected_queue_full", m.rejected_queue_full);
+    count("rejected_too_long", m.rejected_too_long);
+    count("expired_deadline", m.expired_deadline);
+    count("rejected_drained", m.rejected_drained);
+    count("deadline_misses", m.deadline_misses);
+    count("requests_lost", m.requests_lost);
+    count("failovers", m.failovers);
+    count("crashes", m.crashes);
+    count("recoveries", m.recoveries);
+    count("drains", m.drains);
+    count("degrades", m.degrades);
+    count("swaps", m.swaps);
+    count("reloads", m.reloads);
+    real("reload_ms_total", 0, m.reload_ms_total);
+    real("weight_stall_ms", 0, m.weight_stall_ms);
+    count("slowdowns", m.slowdowns);
+    count("aborted_steps", m.aborted_steps);
+    count("preemptions", m.preemptions);
+    count("total_output_tokens", m.total_output_tokens);
+    count("steps", m.steps);
+    real("makespan_ms", 0, m.makespan_ms);
+    count("replica_up_ms.size", static_cast<int64_t>(
+                                    m.replica_up_ms.size()));
+    for (size_t i = 0; i < m.replica_up_ms.size(); ++i)
+        real("replica_up_ms", i, m.replica_up_ms[i]);
+    count("records_complete", m.records_complete);
+    count("latency_sketch.count", m.latency_sketch.count());
+    for (double p : {50.0, 90.0, 99.0, 100.0}) {
+        std::optional<double> q = m.latency_sketch.quantile(p);
+        count("latency_sketch.has_quantile", q.has_value());
+        real("latency_sketch.quantile", 0, q.value_or(0.0));
+    }
+
+    addRequests(out, "requests", m.requests);
+
+    count("rejected.size", static_cast<int64_t>(res.rejected.size()));
+    for (size_t i = 0; i < res.rejected.size(); ++i) {
+        const serving::RejectedRequest &r = res.rejected[i];
+        out.push_back({"rejected.id", i, static_cast<uint64_t>(r.id)});
+        out.push_back({"rejected.reason", i,
+                       static_cast<uint64_t>(r.reason)});
+        real("rejected.at_ms", i, r.at_ms);
+    }
+    count("lost.size", static_cast<int64_t>(res.lost.size()));
+    for (size_t i = 0; i < res.lost.size(); ++i) {
+        const serving::LostRequest &l = res.lost[i];
+        out.push_back({"lost.id", i, static_cast<uint64_t>(l.id)});
+        real("lost.at_ms", i, l.at_ms);
+        out.push_back({"lost.attempts", i,
+                       static_cast<uint64_t>(l.attempts)});
+    }
+
+    count("hit_step_limit", res.hit_step_limit);
+    count("replicas.size", static_cast<int64_t>(res.replicas.size()));
+    for (const serving::ServingResult &replica : res.replicas) {
+        count("steps.size",
+              static_cast<int64_t>(replica.steps.size()));
+        for (size_t i = 0; i < replica.steps.size(); ++i) {
+            const serving::StepRecord &st = replica.steps[i];
+            addIds(out, "steps.prefill_ids", i, st.prefill_ids);
+            addIds(out, "steps.decode_ids", i, st.decode_ids);
+            real("steps.start_ms", i, st.start_ms);
+            real("steps.step_ms", i, st.step_ms);
+        }
+        addRequests(out, "replica.requests",
+                    replica.metrics.requests);
+    }
+    return out;
+}
+
+/** FNV-1a over the observables' bit patterns: one 64-bit value
+ *  that pins a whole run. */
+uint64_t
+digest(const serving::FleetResult &res)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (const Observable &o : observables(res))
+        for (int shift = 0; shift < 64; shift += 8) {
+            h ^= (o.bits >> shift) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    return h;
+}
+
 /** Every observable of the two results must match exactly —
- *  EXPECT_EQ on doubles deliberately: the contract is
- *  bit-identical, not approximately equal. */
+ *  bit patterns deliberately: the contract is bit-identical, not
+ *  approximately equal. */
 void
 expectSameResult(const serving::FleetResult &a,
                  const serving::FleetResult &b)
 {
-    const serving::FleetMetrics &ma = a.metrics;
-    const serving::FleetMetrics &mb = b.metrics;
-    EXPECT_EQ(ma.completed, mb.completed);
-    EXPECT_EQ(ma.rejected_queue_full, mb.rejected_queue_full);
-    EXPECT_EQ(ma.rejected_too_long, mb.rejected_too_long);
-    EXPECT_EQ(ma.expired_deadline, mb.expired_deadline);
-    EXPECT_EQ(ma.rejected_drained, mb.rejected_drained);
-    EXPECT_EQ(ma.deadline_misses, mb.deadline_misses);
-    EXPECT_EQ(ma.requests_lost, mb.requests_lost);
-    EXPECT_EQ(ma.failovers, mb.failovers);
-    EXPECT_EQ(ma.crashes, mb.crashes);
-    EXPECT_EQ(ma.recoveries, mb.recoveries);
-    EXPECT_EQ(ma.drains, mb.drains);
-    EXPECT_EQ(ma.degrades, mb.degrades);
-    EXPECT_EQ(ma.swaps, mb.swaps);
-    EXPECT_EQ(ma.reloads, mb.reloads);
-    EXPECT_EQ(ma.reload_ms_total, mb.reload_ms_total);
-    EXPECT_EQ(ma.weight_stall_ms, mb.weight_stall_ms);
-    EXPECT_EQ(ma.slowdowns, mb.slowdowns);
-    EXPECT_EQ(ma.aborted_steps, mb.aborted_steps);
-    EXPECT_EQ(ma.preemptions, mb.preemptions);
-    EXPECT_EQ(ma.total_output_tokens, mb.total_output_tokens);
-    EXPECT_EQ(ma.steps, mb.steps);
-    EXPECT_EQ(ma.makespan_ms, mb.makespan_ms);
-    EXPECT_EQ(ma.replica_up_ms, mb.replica_up_ms);
-    EXPECT_EQ(ma.records_complete, mb.records_complete);
-    EXPECT_EQ(ma.latency_sketch.count(), mb.latency_sketch.count());
-    for (double p : {50.0, 90.0, 99.0, 100.0})
-        EXPECT_EQ(ma.latency_sketch.quantile(p),
-                  mb.latency_sketch.quantile(p));
-
-    expectSameRequests(ma.requests, mb.requests);
-
-    ASSERT_EQ(a.rejected.size(), b.rejected.size());
-    for (size_t i = 0; i < a.rejected.size(); ++i) {
-        EXPECT_EQ(a.rejected[i].id, b.rejected[i].id);
-        EXPECT_EQ(a.rejected[i].reason, b.rejected[i].reason);
-        EXPECT_EQ(a.rejected[i].at_ms, b.rejected[i].at_ms);
+    std::vector<Observable> oa = observables(a);
+    std::vector<Observable> ob = observables(b);
+    auto [ia, ib] = std::mismatch(oa.begin(), oa.end(), ob.begin(),
+                                  ob.end());
+    if (ia != oa.end() || ib != ob.end()) {
+        const Observable &o = ia != oa.end() ? *ia : *ib;
+        ADD_FAILURE() << "runs diverge at " << o.field << "["
+                      << o.index << "]";
     }
-    ASSERT_EQ(a.lost.size(), b.lost.size());
-    for (size_t i = 0; i < a.lost.size(); ++i) {
-        EXPECT_EQ(a.lost[i].id, b.lost[i].id);
-        EXPECT_EQ(a.lost[i].at_ms, b.lost[i].at_ms);
-        EXPECT_EQ(a.lost[i].attempts, b.lost[i].attempts);
-    }
-
-    EXPECT_EQ(a.hit_step_limit, b.hit_step_limit);
-    ASSERT_EQ(a.replicas.size(), b.replicas.size());
-    for (size_t r = 0; r < a.replicas.size(); ++r) {
-        const auto &sa = a.replicas[r].steps;
-        const auto &sb = b.replicas[r].steps;
-        ASSERT_EQ(sa.size(), sb.size());
-        for (size_t i = 0; i < sa.size(); ++i) {
-            EXPECT_EQ(sa[i].prefill_ids, sb[i].prefill_ids);
-            EXPECT_EQ(sa[i].decode_ids, sb[i].decode_ids);
-            EXPECT_EQ(sa[i].start_ms, sb[i].start_ms);
-            EXPECT_EQ(sa[i].step_ms, sb[i].step_ms);
-        }
-        expectSameRequests(a.replicas[r].metrics.requests,
-                           b.replicas[r].metrics.requests);
-    }
+    EXPECT_EQ(a.metrics.redispatch_picks, b.metrics.redispatch_picks);
 }
 
 class FleetDifferential : public ::testing::TestWithParam<uint64_t>
@@ -245,6 +339,35 @@ TEST_P(FleetDifferential, GeneratorMatchesVector)
     expectSameResult(
         runScenario(s, serving::FleetEventCore::Heap, 1, false),
         runScenario(s, serving::FleetEventCore::Heap, 1, true));
+}
+
+/** Both cores still serve exactly what they served before the
+ *  retry-buffer redispatch was made linear: the per-seed digests
+ *  in testing/fleet_golden_digests.h were recorded from that
+ *  code. The pairwise tests above cannot catch a change shared by
+ *  both cores; these can. */
+void
+expectGoldenDigests(uint64_t seed, serving::FleetEventCore core)
+{
+    for (bool with_faults : {true, false}) {
+        uint64_t observed = digest(runScenario(
+            makeScenario(seed, with_faults), core, 1, false));
+        EXPECT_EQ(observed,
+                  kFleetGoldenDigests[seed][with_faults ? 0 : 1])
+            << "seed " << seed << " faults=" << with_faults
+            << " observed 0x" << std::hex << observed;
+    }
+}
+
+TEST_P(FleetDifferential, HeapReproducesGoldenDigests)
+{
+    expectGoldenDigests(GetParam(), serving::FleetEventCore::Heap);
+}
+
+TEST_P(FleetDifferential, LegacyReproducesGoldenDigests)
+{
+    expectGoldenDigests(GetParam(),
+                        serving::FleetEventCore::LegacyScan);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FleetDifferential,

@@ -5,8 +5,12 @@
  *  contract: conservation of every request, O(sketch) memory
  *  (records dropped, bounded retained items), and sketch
  *  percentiles within the documented rank error of the exact
- *  record-keeping run. Trace length defaults to 150k requests;
- *  slow jobs (sanitizers) reduce it via ST_SCALE_REQUESTS. */
+ *  record-keeping run. The fault-backlog cases (total outage, long
+ *  drain, retry storm) pin that a deep retry buffer costs work in
+ *  proportion to the requests parked, on both event cores, by
+ *  counting balancer picks rather than timing. Trace length
+ *  defaults to 150k requests; slow jobs (sanitizers) reduce it via
+ *  ST_SCALE_REQUESTS. */
 
 #include <gtest/gtest.h>
 
@@ -150,6 +154,122 @@ TEST(Scale, SketchMatchesExactWithinRankError)
             err = target - static_cast<double>(hi);
         EXPECT_LE(err / total, 0.02) << "p=" << p << " n=" << n;
     }
+}
+
+/** The sweep fleet at a sustainable load (Poisson every 3.3 ms,
+ *  about 65% of what four replicas serve saturated) so the
+ *  backlog a fault builds up drains after it. */
+serving::TraceOptions
+faultTrace(int64_t n)
+{
+    serving::TraceOptions trace = scaleTrace(n);
+    trace.mean_interarrival_ms = 3.3;
+    return trace;
+}
+
+double
+traceSpanMs(const serving::TraceOptions &trace)
+{
+    return static_cast<double>(trace.num_requests) *
+           trace.mean_interarrival_ms;
+}
+
+void
+addOnEveryReplica(serving::FleetOptions &options, double at_ms,
+                  serving::FaultKind kind)
+{
+    for (int r = 0; r < options.num_replicas; ++r)
+        options.faults.events.push_back({at_ms, r, kind, 1.0});
+}
+
+/** Serves @p trace on both event cores and checks what must hold
+ *  however deep the retry buffer got: every request has exactly
+ *  one outcome, and retry-buffer routing is linear — each pick
+ *  routes a request, and a request is parked at most once on
+ *  arrival, once per retry and once more for a drain or swap. */
+void
+expectLinearRedispatch(const serving::TraceOptions &trace,
+                       serving::FleetOptions options)
+{
+    int64_t n = trace.num_requests;
+    int64_t bound = (options.max_retries + 2) * n;
+    std::vector<int64_t> picks;
+    for (auto core : {serving::FleetEventCore::Heap,
+                      serving::FleetEventCore::LegacyScan}) {
+        options.event_core = core;
+        serving::TraceGenerator gen(serving::TraceShape::Poisson,
+                                    trace);
+        serving::AnalyticCostModel cost;
+        serving::FleetScheduler fleet(options, cost);
+        serving::FleetResult result = fleet.run(gen);
+        const serving::FleetMetrics &m = result.metrics;
+        const char *name =
+            core == serving::FleetEventCore::Heap ? "heap" : "legacy";
+
+        EXPECT_FALSE(result.hit_step_limit) << name;
+        EXPECT_EQ(m.completed + m.rejected_queue_full +
+                      m.rejected_too_long + m.rejected_drained +
+                      m.expired_deadline + m.requests_lost,
+                  n)
+            << name;
+        EXPECT_GT(m.redispatch_picks, 0) << name;
+        EXPECT_LE(m.redispatch_picks, bound) << name << " n=" << n;
+        picks.push_back(m.redispatch_picks);
+    }
+    EXPECT_EQ(picks[0], picks[1]) << "cores disagree";
+}
+
+TEST(Scale, TotalOutageRedispatchIsLinear)
+{
+    serving::TraceOptions trace = faultTrace(scaleRequests());
+    double span = traceSpanMs(trace);
+    serving::FleetOptions options =
+        scaleFleet(serving::MetricsOptions::KeepRecords::Never);
+    addOnEveryReplica(options, 0.2 * span, serving::FaultKind::Crash);
+    addOnEveryReplica(options, 0.5 * span,
+                      serving::FaultKind::Recover);
+    expectLinearRedispatch(trace, options);
+}
+
+TEST(Scale, LongDrainRedispatchIsLinear)
+{
+    serving::TraceOptions trace = faultTrace(scaleRequests());
+    double span = traceSpanMs(trace);
+    serving::FleetOptions options =
+        scaleFleet(serving::MetricsOptions::KeepRecords::Never);
+    addOnEveryReplica(options, 0.2 * span,
+                      serving::FaultKind::DrainStart);
+    addOnEveryReplica(options, 0.5 * span,
+                      serving::FaultKind::DrainEnd);
+    expectLinearRedispatch(trace, options);
+}
+
+TEST(Scale, RetryStormRedispatchIsLinear)
+{
+    // Twenty cycles over the middle of the trace: every replica
+    // crashes at once, then they recover one by one, so each cycle
+    // is a short total outage followed by partial capacity, and
+    // the backlog each recovery routes is evacuated again by the
+    // next crash. Requests burn their retry attempts
+    // (max_retries = 3, exponential backoff) until they finish,
+    // are lost, or pass their deadline parked or queued.
+    serving::TraceOptions trace = faultTrace(scaleRequests());
+    double span = traceSpanMs(trace);
+    trace.deadline_slack_ms = 0.1 * span;
+    serving::FleetOptions options =
+        scaleFleet(serving::MetricsOptions::KeepRecords::Never);
+    options.max_retries = 3;
+    options.retry_backoff_ms = 5.0;
+    options.retry_backoff_factor = 2.0;
+    for (int cycle = 0; cycle < 20; ++cycle) {
+        double start = (0.2 + 0.03 * cycle) * span;
+        addOnEveryReplica(options, start, serving::FaultKind::Crash);
+        for (int r = 0; r < options.num_replicas; ++r)
+            options.faults.events.push_back(
+                {start + (0.01 + 0.003 * r) * span, r,
+                 serving::FaultKind::Recover, 1.0});
+    }
+    expectLinearRedispatch(trace, options);
 }
 
 } // namespace
