@@ -8,9 +8,8 @@
  * requests/s plus the simulated quality counters (p99 from the
  * sketch) and the process peak RSS — the numbers behind the
  * "Million-request sweeps" table in the README. The smaller
- * paired variants measure the event cores against each other
- * (Heap vs LegacyScan), on calm traffic and through a total
- * outage, and serial vs parallel replica stepping.
+ * variants time the fleet event loop on calm traffic and through
+ * a total outage.
  */
 
 #include <benchmark/benchmark.h>
@@ -54,8 +53,7 @@ sweepTrace(int64_t num_requests)
  *  recovers it at 50%: a total outage that parks every arrival in
  *  between in the fleet's retry buffer. */
 serving::FleetOptions
-sweepFleet(serving::FleetEventCore core, int64_t step_threads,
-           const serving::TraceOptions &trace, bool outage)
+sweepFleet(const serving::TraceOptions &trace, bool outage)
 {
     serving::FleetOptions options;
     options.num_replicas = 4;
@@ -67,8 +65,6 @@ sweepFleet(serving::FleetEventCore core, int64_t step_threads,
     // O(sketch) memory at millions of requests.
     options.replica.metrics.keep_records =
         serving::MetricsOptions::KeepRecords::Never;
-    options.event_core = core;
-    options.step_threads = step_threads;
     if (outage) {
         double span = static_cast<double>(trace.num_requests) *
                       trace.mean_interarrival_ms;
@@ -83,27 +79,25 @@ sweepFleet(serving::FleetEventCore core, int64_t step_threads,
 }
 
 serving::FleetResult
-runSweep(int64_t num_requests, serving::FleetEventCore core,
-         int64_t step_threads, bool outage = false)
+runSweep(int64_t num_requests, bool outage = false)
 {
     serving::TraceOptions options = sweepTrace(num_requests);
     serving::TraceGenerator trace(serving::TraceShape::Poisson,
                                   options);
     serving::AnalyticCostModel cost;
     serving::FleetScheduler fleet(
-        sweepFleet(core, step_threads, options, outage), cost);
+        sweepFleet(options, outage), cost);
     return fleet.run(trace);
 }
 
-/** The headline: 1M requests, heap core, streaming metrics. */
+/** The headline: 1M requests, streaming metrics. */
 void
 BM_ServeMillionRequestSweep(benchmark::State &state)
 {
     int64_t num_requests = state.range(0);
     serving::FleetResult result;
     for (auto _ : state)
-        result = runSweep(num_requests,
-                          serving::FleetEventCore::Heap, 1);
+        result = runSweep(num_requests);
     const serving::FleetMetrics &m = result.metrics;
     state.counters["wall_req_per_s"] = benchmark::Counter(
         static_cast<double>(num_requests) *
@@ -122,65 +116,29 @@ BENCHMARK(BM_ServeMillionRequestSweep)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-/** Event cores head to head, on calm traffic and through a total
- *  outage (args: core, requests, outage). Both cores run the same
- *  phases and differ only in how they find the next instant, so
- *  they measure within noise of each other in both shapes. The
- *  outage shape is the regression guard for the retry buffer:
- *  parked requests cost nothing per round until a replica is
- *  eligible again, so it stays linear in trace length on either
- *  core (its redispatch_picks counter is at most the number of
- *  parks). The calm pairing keeps the default core's constant
- *  factors honest against the oracle's wall clock. */
+/** The fleet event loop on calm traffic and through a total
+ *  outage (args: requests, outage). The outage shape is the
+ *  regression guard for the retry buffer: parked requests cost
+ *  nothing per round until a replica is eligible again, so it
+ *  stays linear in trace length (its redispatch_picks counter is
+ *  at most the number of parks). */
 void
-BM_SweepEventCore(benchmark::State &state)
+BM_SweepFleet(benchmark::State &state)
 {
-    auto core =
-        static_cast<serving::FleetEventCore>(state.range(0));
-    int64_t num_requests = state.range(1);
-    bool outage = state.range(2) != 0;
+    int64_t num_requests = state.range(0);
+    bool outage = state.range(1) != 0;
     serving::FleetResult result;
     for (auto _ : state)
-        result = runSweep(num_requests, core, 1, outage);
+        result = runSweep(num_requests, outage);
     state.counters["completed"] =
         static_cast<double>(result.metrics.completed);
     state.counters["redispatch_picks"] =
         static_cast<double>(result.metrics.redispatch_picks);
 }
-BENCHMARK(BM_SweepEventCore)
-    ->ArgsProduct(
-        {{static_cast<int64_t>(serving::FleetEventCore::Heap),
-          static_cast<int64_t>(
-              serving::FleetEventCore::LegacyScan)},
-         {20000, 100000},
-         {0}})
-    ->Args({static_cast<int64_t>(serving::FleetEventCore::Heap),
-            20000, 1})
-    ->Args({static_cast<int64_t>(
-                serving::FleetEventCore::LegacyScan),
-            20000, 1})
-    ->Unit(benchmark::kMillisecond);
-
-/** Serial vs parallel replica stepping on the heap core. Results
- *  are bit-identical by contract; only the wall clock moves. On
- *  the analytic model a step costs microseconds, so this measures
- *  the pool-dispatch overhead envelope — the knob pays off only
- *  with heavyweight concurrentSafe() cost oracles. */
-void
-BM_SweepStepThreads(benchmark::State &state)
-{
-    int64_t threads = state.range(0);
-    serving::FleetResult result;
-    for (auto _ : state)
-        result = runSweep(200000,
-                          serving::FleetEventCore::Heap, threads);
-    state.counters["completed"] =
-        static_cast<double>(result.metrics.completed);
-}
-BENCHMARK(BM_SweepStepThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
+BENCHMARK(BM_SweepFleet)
+    ->Args({20000, 0})
+    ->Args({100000, 0})
+    ->Args({20000, 1})
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

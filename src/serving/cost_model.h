@@ -77,13 +77,6 @@ class AnalyticCostModel : public StepCostModel
     double
     stepMs(const std::vector<runtime::StepGroup> &groups) override;
 
-    /** Stateless closed form: safe for the fleet's parallel step
-     *  launching. ExecutorCostModel keeps the default false — it
-     *  accumulates crossing-stall time in call order, and a
-     *  reordered floating-point sum would break bit-identical
-     *  replay. */
-    bool concurrentSafe() const override { return true; }
-
   private:
     AnalyticCostOptions options_;
 };

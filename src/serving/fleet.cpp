@@ -4,16 +4,12 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <optional>
-#include <queue>
 #include <set>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "serving/trace.h"
 #include "support/error.h"
-#include "support/thread_pool.h"
 
 namespace streamtensor {
 namespace serving {
@@ -38,53 +34,9 @@ struct PendingRequest
     int64_t attempts = 0;
 };
 
-/** Typed-event categories of the heap core, numbered in the
- *  fleet's documented equal-instant processing order (fleet.h):
- *  completions, then faults, then arrivals, then retry-buffer
- *  deadlines, then due retries. The comparator encodes this order
- *  so heap pops at one instant match the phase order — though
- *  every phase re-reads authoritative state, so the order is a
- *  documented invariant rather than a hidden load-bearing one. */
-enum EventCat : int
-{
-    EvCompletion = 0,
-    EvReload = 1, ///< weight-reload window elapsed
-    EvFault = 2,
-    EvArrival = 3,
-    EvDeadline = 4,
-    EvRetry = 5,
-};
-
-/** One wake-up instant for the heap core. Events are invalidated
- *  lazily (never removed in place): a completion carries the
- *  launch generation it belongs to, retry/deadline events are
- *  checked against the live retry buffer, and anything at or
- *  before the current round was already handled by that round's
- *  phases. */
-struct Event
-{
-    double t = 0.0;
-    int cat = EvCompletion;
-    int64_t a = 0; ///< replica id (completion) or request id
-    int64_t b = 0; ///< launch generation (completion only)
-};
-
-/** Min-heap order: (t, cat, a, b) ascending — time first, then the
- *  documented category order, then ids for full determinism. */
-struct EventAfter
-{
-    bool operator()(const Event &x, const Event &y) const
-    {
-        return std::tie(x.t, x.cat, x.a, x.b) >
-               std::tie(y.t, y.cat, y.a, y.b);
-    }
-};
-
-/** One fleet run: the state and round phases shared by both event
- *  cores. runLegacy() is the original loop that re-derives the
- *  next instant by scanning the replicas each round, kept as the
- *  differential oracle; runHeap() drives the identical phases off
- *  the typed-event heap. */
+/** One fleet run: the retry buffer, per-replica up/reload state
+ *  and the six round phases, advanced by run() on one simulated
+ *  clock. */
 struct FleetRun
 {
     const FleetOptions &options;
@@ -116,17 +68,10 @@ struct FleetRun
     /** Indexes over the buffer kept in lockstep by parkPending /
      *  erasePending: ready instant by request id (to find an
      *  entry from its deadline), and the (deadline, id) set whose
-     *  minimum gates the heap core's expiry sweep — O(1) to skip,
-     *  O(log n) per actual expiry. */
+     *  minimum gates the expiry sweep and the next-instant scan —
+     *  O(1) to skip, O(log n) per actual expiry. */
     std::map<int64_t, double> pending_ready;
     std::set<std::pair<double, int64_t>> pending_deadlines;
-
-    /** Heap-core state. launch generations version each replica's
-     *  in-flight step so a completion event orphaned by a crash
-     *  is recognized as stale. */
-    std::priority_queue<Event, std::vector<Event>, EventAfter>
-        events;
-    std::vector<int64_t> launch_gen;
 
     double now = 0.0;
 
@@ -138,9 +83,7 @@ struct FleetRun
           degraded_cost(degraded_cost_in), arrivals(arrivals_in),
           n(options_in.num_replicas),
           lb(makeLoadBalancer(options_in.balancer)),
-          injector(options_in.faults),
-          launch_gen(static_cast<size_t>(options_in.num_replicas),
-                     0)
+          injector(options_in.faults)
     {
         engines.reserve(static_cast<size_t>(n));
         for (int i = 0; i < n; ++i)
@@ -161,16 +104,14 @@ struct FleetRun
 
     /** Take @p idx out of service for @p window ms of weight
      *  re-streaming; it rejoins via completeReloads(). Counted
-     *  and staged for the heap core here so both call sites
-     *  (recover, swap) stay in lockstep. */
+     *  here so both call sites (recover, swap) stay in
+     *  lockstep. */
     void startReload(size_t idx, double window)
     {
         FleetMetrics &fm = result.metrics;
         reload_ready[idx] = now + window;
         ++fm.reloads;
         fm.reload_ms_total += window;
-        events.push({reload_ready[idx], EvReload,
-                     static_cast<int64_t>(idx), 0});
     }
 
     /** Bring every replica whose reload window has elapsed back
@@ -240,13 +181,12 @@ struct FleetRun
         result.lost.push_back({r.id, now, attempts});
     }
 
-    /** Insert into the retry buffer, maintain its indexes, and
-     *  stage the wake-ups the legacy scan would have derived: a
-     *  retry event when the entry becomes ready in the future, a
-     *  deadline event when it could expire in the future. Entries
-     *  ready at or before now need no event — they route in the
-     *  first round that has an eligible replica, and never wake
-     *  the loop on their own (exactly the legacy next_t rule). */
+    /** Insert into the retry buffer and maintain its indexes.
+     *  An entry ready in the future wakes the loop at its ready
+     *  instant, and one with a future deadline at that deadline;
+     *  an entry ready at or before now routes in the first round
+     *  that has an eligible replica and never wakes the loop on
+     *  its own. */
     void parkPending(double ready, PendingRequest pr)
     {
         int64_t id = pr.req.id;
@@ -255,10 +195,6 @@ struct FleetRun
         pending_ready[id] = ready;
         if (deadline > 0.0)
             pending_deadlines.insert({deadline, id});
-        if (ready > now)
-            events.push({ready, EvRetry, id, 0});
-        if (deadline > now)
-            events.push({deadline, EvDeadline, id, 0});
     }
 
     using PendingIt = std::map<std::pair<double, int64_t>,
@@ -527,7 +463,7 @@ struct FleetRun
             fm.records_complete =
                 fm.records_complete && m.records_complete;
             // Replica-id merge order keeps the fleet sketch
-            // bit-identical across runs (and event cores).
+            // bit-identical across runs.
             fm.latency_sketch.merge(m.latency_sketch);
             fm.rejected_queue_full += m.rejected_queue_full;
             fm.rejected_too_long += m.rejected_too_long;
@@ -562,10 +498,7 @@ struct FleetRun
         fm.makespan_ms = now;
     }
 
-    // ---- Legacy core: the original per-round replica scans,
-    // kept as the differential oracle for the heap core. ----
-
-    FleetResult runLegacy()
+    FleetResult run()
     {
         while (true) {
             // 1. Step completions (id order). A step ending
@@ -650,177 +583,6 @@ struct FleetRun
         finalizeRun();
         return std::move(result);
     }
-
-    // ---- Heap core -------------------------------------------
-
-    /** Earliest valid future wake-up, discarding consumed
-     *  (t <= now) and stale entries as they surface. +infinity
-     *  when nothing valid remains (the stranding condition). */
-    double nextEventTime()
-    {
-        while (!events.empty()) {
-            const Event &e = events.top();
-            if (e.t <= now) {
-                // A round at `now` already processed everything
-                // due at or before it.
-                events.pop();
-                continue;
-            }
-            bool valid = true;
-            switch (e.cat) {
-            case EvCompletion: {
-                auto idx = static_cast<size_t>(e.a);
-                valid = engines[idx].busy() &&
-                        launch_gen[idx] == e.b;
-                break;
-            }
-            case EvReload: {
-                auto idx = static_cast<size_t>(e.a);
-                valid = !up[idx] && reload_ready[idx] == e.t;
-                break;
-            }
-            case EvFault:
-            case EvArrival:
-                // Fault times are immutable; a stale arrival
-                // event is impossible while t > now (arrivals are
-                // ingested the round their event fires).
-                break;
-            case EvDeadline:
-                valid = pending_deadlines.count({e.t, e.a}) > 0;
-                break;
-            case EvRetry:
-                valid = pending.count({e.t, e.a}) > 0;
-                break;
-            }
-            if (!valid) {
-                events.pop();
-                continue;
-            }
-            return e.t;
-        }
-        return inf;
-    }
-
-    FleetResult runHeap()
-    {
-        // The pool is per-run and only built when asked for:
-        // serial runs must not pay thread spin-up, and a local
-        // pool keeps fleet runs independent of the process-wide
-        // shared() pool's sizing.
-        std::optional<support::ThreadPool> pool;
-        if (options.step_threads >= 2)
-            pool.emplace(options.step_threads);
-        // Parallel launches additionally need order-independent
-        // step costing; completions are always engine-local.
-        const bool launches_parallel_safe =
-            cost.concurrentSafe() &&
-            (!degraded_cost || degraded_cost->concurrentSafe());
-
-        for (const auto &e : options.faults.events)
-            events.push({e.at_ms, EvFault, 0, 0});
-        double arrival_event_t = -1.0;
-
-        std::vector<int64_t> due;
-        while (true) {
-            // 1. Step completions (committed in id order; the
-            // work itself is engine-local, so it may fan out).
-            due.clear();
-            for (int i = 0; i < n; ++i) {
-                auto &eng = engines[static_cast<size_t>(i)];
-                if (eng.busy() && eng.stepEndMs() <= now)
-                    due.push_back(i);
-            }
-            if (pool && due.size() > 1)
-                pool->run(static_cast<int64_t>(due.size()),
-                          [&](int64_t k) {
-                              engines[static_cast<size_t>(
-                                          due[static_cast<
-                                              size_t>(k)])]
-                                  .completeStep();
-                          });
-            else
-                for (int64_t i : due)
-                    engines[static_cast<size_t>(i)]
-                        .completeStep();
-
-            // 2. Faults.
-            faultsPhase();
-
-            // 3. Arrivals; then stage the wake-up for the next
-            // one (deduplicated — rounds between arrivals must
-            // not re-push it).
-            arrivalsPhase();
-            if (!arrivals.exhausted() &&
-                arrivals.nextArrivalMs() != arrival_event_t) {
-                arrival_event_t = arrivals.nextArrivalMs();
-                events.push({arrival_event_t, EvArrival, 0, 0});
-            }
-
-            // 4. Deadline sweeps: replica queues (O(1) when
-            // deadline-free, queue.h), then the retry buffer.
-            for (auto &eng : engines)
-                eng.expireDeadlines(now);
-            expirePending();
-
-            // 5. Due retries.
-            redispatchDue();
-
-            // 6. Launches. Costing fans out only when the cost
-            // model is order-independent; busy-state commits and
-            // completion events stay serial in id order either
-            // way.
-            due.clear();
-            for (int i = 0; i < n; ++i) {
-                auto &eng = engines[static_cast<size_t>(i)];
-                if (up[static_cast<size_t>(i)] && !eng.busy())
-                    due.push_back(i);
-            }
-            if (pool && launches_parallel_safe && due.size() > 1)
-                pool->run(static_cast<int64_t>(due.size()),
-                          [&](int64_t k) {
-                              engines[static_cast<size_t>(
-                                          due[static_cast<
-                                              size_t>(k)])]
-                                  .launchStep(now);
-                          });
-            else
-                for (int64_t i : due)
-                    engines[static_cast<size_t>(i)].launchStep(
-                        now);
-            for (int64_t i : due) {
-                auto idx = static_cast<size_t>(i);
-                auto &eng = engines[idx];
-                ST_ASSERT(eng.busy() || !eng.hasWork() ||
-                              eng.draining(),
-                          "idle up replica refused its work");
-                if (eng.busy()) {
-                    ++launch_gen[idx];
-                    events.push({eng.stepEndMs(), EvCompletion,
-                                 i, launch_gen[idx]});
-                }
-            }
-
-            auto [total_steps, work_left] = progress();
-            if (total_steps >= options.replica.max_steps &&
-                work_left) {
-                result.hit_step_limit = true;
-                break;
-            }
-            if (!work_left)
-                break; // served everything; residual faults moot
-
-            double next_t = nextEventTime();
-            if (next_t == inf) {
-                strandPending();
-                break;
-            }
-            ST_ASSERT(next_t > now,
-                      "fleet clock failed to advance");
-            now = next_t;
-        }
-        finalizeRun();
-        return std::move(result);
-    }
 };
 
 } // namespace
@@ -886,10 +648,15 @@ FleetScheduler::FleetScheduler(FleetOptions options,
              "retry backoff domain");
     ST_CHECK(options_.retry_backoff_factor >= 1.0,
              "retry backoff factor domain");
-    ST_CHECK(options_.step_threads >= 1,
-             "step thread count domain");
-    ST_CHECK(options_.recovery_reload_ms >= 0.0,
+    // Reload windows must be finite: +infinity is the "no reload
+    // pending" sentinel, so an infinite window would let a second
+    // Recover restart it, or a Recover cut a swap short.
+    ST_CHECK(options_.recovery_reload_ms >= 0.0 &&
+                 std::isfinite(options_.recovery_reload_ms),
              "recovery reload domain");
+    ST_CHECK(options_.swap_reload_ms < 0.0 ||
+                 std::isfinite(options_.swap_reload_ms),
+             "swap reload domain");
     validateSchedulerOptions(options_.replica);
     for (const auto &e : options_.faults.events)
         ST_CHECK(e.replica >= 0 &&
@@ -917,10 +684,7 @@ FleetScheduler::run(TraceGenerator &trace)
 FleetResult
 FleetScheduler::runCursor(ArrivalCursor &arrivals)
 {
-    FleetRun run(options_, cost_, degraded_cost_, arrivals);
-    return options_.event_core == FleetEventCore::Heap
-               ? run.runHeap()
-               : run.runLegacy();
+    return FleetRun(options_, cost_, degraded_cost_, arrivals).run();
 }
 
 } // namespace serving

@@ -22,25 +22,18 @@
  *   5. due retries, oldest (ready, id) first;
  *   6. step launches on every idle up replica, in id order.
  *
- * **Event cores.** Two interchangeable implementations pick the
- * next instant (FleetOptions::event_core); both then run the same
- * six phases, so their results are bit-identical — pinned pairwise
- * by the differential suite over the 100-seed fault scenarios,
- * and against recorded per-seed golden digests. LegacyScan
- * re-derives the minimum by scanning every engine each round and
- * reading the retry buffer's indexes. Heap (the default) keeps a
- * min-heap of typed events — completion, fault, arrival,
- * retry-due, retry-deadline — ordered by (time, category,
- * replica/request id) with the category order above encoded in
- * the comparator, and invalidates stale entries lazily (a
- * completion event carries its launch generation; retry and
- * deadline events are checked against the buffer). Per-round
- * work that scans the *fleet* (completions due, launches, step
- * totals) stays linear in num_replicas — a small fixed constant,
- * not trace length. Everything else costs O(log n) per request
- * event (arrival, park, route, expiry) in both cores, outages
- * included: the retry buffer is touched only by entries that
- * change state, never swept.
+ * **Event core.** After the six phases the loop picks the next
+ * instant by scanning every replica (step end, reload end) and
+ * taking the minimum with the next fault, the next arrival and
+ * the earliest future ready instant and deadline in the retry
+ * buffer's indexes. Per-round work that scans the *fleet*
+ * (completions due, launches, step totals, the next instant)
+ * stays linear in num_replicas — a small fixed constant, not
+ * trace length. Everything else costs O(log n) per request event
+ * (arrival, park, route, expiry), outages included: the retry
+ * buffer is touched only by entries that change state, never
+ * swept. Recorded per-seed golden digests of the 100-seed fault
+ * scenarios pin the results bit for bit (differential suite).
  *
  * The rule that keeps an outage linear is the **eligibility
  * guard**: phase 5 does nothing unless some parked request is due
@@ -52,10 +45,10 @@
  * eligibility change (Recover, reload done, DrainEnd, swap rejoin)
  * routes them all. FleetMetrics::redispatch_picks counts the
  * routes, so this is asserted (scale suite), not assumed.
- * Queued-request deadline expiry is lazy in both cores: a queued
- * request expires at the next round at or after its deadline
- * (stamped at that round's instant), and its deadline alone never
- * wakes the loop — only retry-buffer deadlines do.
+ * Queued-request deadline expiry is lazy: a queued request
+ * expires at the next round at or after its deadline (stamped at
+ * that round's instant), and its deadline alone never wakes the
+ * loop — only retry-buffer deadlines do.
  *
  * **Failover.** A crash evacuates the replica's resident and
  * queued requests with their ResumeState (tokens already emitted
@@ -98,16 +91,6 @@
 namespace streamtensor {
 namespace serving {
 
-/** Next-event selection strategy (see the event-cores note in the
- *  file header). Results are bit-identical between the two;
- *  LegacyScan survives as the differential oracle the heap core
- *  is tested against. */
-enum class FleetEventCore
-{
-    Heap,       ///< typed-event min-heap (default)
-    LegacyScan, ///< per-round replica scans (oracle)
-};
-
 /** Fleet knobs. */
 struct FleetOptions
 {
@@ -142,27 +125,13 @@ struct FleetOptions
      *  WeightStreamPlan::streamMs(), or pin any constant). 0
      *  keeps the pre-streaming instant recovery, bit-identically.
      *  Reload time counts as down time (uptimeFraction) and is
-     *  tallied in FleetMetrics::reload_ms_total. */
+     *  tallied in FleetMetrics::reload_ms_total. Must be finite
+     *  and >= 0. */
     double recovery_reload_ms = 0.0;
 
     /** Reload window charged by FaultKind::Swap (hot model swap).
-     *  Negative = use recovery_reload_ms. */
+     *  Negative = use recovery_reload_ms; otherwise finite. */
     double swap_reload_ms = -1.0;
-
-    /** Next-event selection core. */
-    FleetEventCore event_core = FleetEventCore::Heap;
-
-    /** Worker threads for replica stepping (Heap core only;
-     *  LegacyScan stays serial as the oracle). At >= 2, step
-     *  completions due at one instant always fan out across a
-     *  support::ThreadPool, and step *launches* fan out when the
-     *  cost model (and the degraded model, if any) reports
-     *  concurrentSafe() — both touch only engine-local state
-     *  between the fleet's interaction points, and completion
-     *  events are committed serially in replica-id order after
-     *  the barrier, so results are bit-identical with 1 or N
-     *  threads (pinned by the differential suite). */
-    int64_t step_threads = 1;
 };
 
 /** A request that exhausted its retry budget (or was stranded

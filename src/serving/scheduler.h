@@ -89,14 +89,8 @@ class StepCostModel
     virtual double
     stepMs(const std::vector<runtime::StepGroup> &groups) = 0;
 
-    /** True when concurrent stepMs() calls are safe AND
-     *  order-independent — a pure function of the groups, with no
-     *  mutable state whose update order could leak into results.
-     *  Gates the fleet's parallel step launching
-     *  (FleetOptions::step_threads): a model accumulating
-     *  floating-point state (e.g. ExecutorCostModel's crossing
-     *  stall sum) must keep the default false, or reordered
-     *  accumulation would break bit-identical replay. */
+    /** Unread: kept only because perfbench's TimedCostModel
+     *  overrides it; both go at the next benchmark change. */
     virtual bool concurrentSafe() const { return false; }
 };
 

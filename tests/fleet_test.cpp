@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -737,5 +738,15 @@ TEST(Fleet, SwapReloadDefaultsToRecoveryWindow)
     serving::FleetOptions bad = fleetOptions(1);
     bad.recovery_reload_ms = -1.0;
     serving::AnalyticCostModel c2(unitCost());
+    EXPECT_THROW(serving::FleetScheduler(bad, c2), FatalError);
+
+    // +infinity is the "no reload pending" sentinel, so neither
+    // window may be infinite.
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    bad = fleetOptions(1);
+    bad.recovery_reload_ms = inf;
+    EXPECT_THROW(serving::FleetScheduler(bad, c2), FatalError);
+    bad = fleetOptions(1);
+    bad.swap_reload_ms = inf;
     EXPECT_THROW(serving::FleetScheduler(bad, c2), FatalError);
 }
