@@ -7,11 +7,14 @@
  * request latency — while the benchmark time measures how fast
  * the discrete-event serving simulator itself runs (the compile
  * cache is warmed by the first iteration; steady-state iterations
- * are pure scheduling).
+ * are pure scheduling). BM_ServeExecutorStepHit times one step on
+ * cached blocks alone: the executor's per-step host cost.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "models/block_builder.h"
+#include "runtime/executor.h"
 #include "serving/cost_model.h"
 #include "serving/scheduler.h"
 #include "serving/trace.h"
@@ -154,6 +157,27 @@ BM_ServeSaturatedPaged(benchmark::State &state)
 BENCHMARK(BM_ServeSaturatedPaged)
     ->Arg(6)
     ->Unit(benchmark::kMillisecond);
+
+// Host cost of one serving step whose blocks are all cached: the
+// overhead every warm step pays on top of scheduling. The argument
+// is the number of distinct GPT-2 shapes in the step.
+void
+BM_ServeExecutorStepHit(benchmark::State &state)
+{
+    const std::vector<runtime::StepGroup> all = {
+        {models::decodeShapes(64), 4},
+        {models::decodeShapes(128), 3},
+        {models::prefillShapes(32), 1}};
+    std::vector<runtime::StepGroup> groups(
+        all.begin(), all.begin() + state.range(0));
+    runtime::LlmExecutor &executor = gpt2Executor();
+    (void)executor.step(groups); // compile outside the timed loop
+    for (auto _ : state) {
+        double step_ms = executor.step(groups).step_ms;
+        benchmark::DoNotOptimize(step_ms);
+    }
+}
+BENCHMARK(BM_ServeExecutorStepHit)->Arg(1)->Arg(2)->Arg(3);
 
 } // namespace
 

@@ -35,9 +35,11 @@ CompiledBlock::totalCycles() const
 double
 CompiledBlock::batchedCycles(int64_t batch) const
 {
+    ST_CHECK(batch >= 1, "batch must be positive");
     double cycles = 0.0;
-    for (const auto &s : sims)
-        cycles += sim::batchedCycles(s, batch);
+    for (size_t g = 0; g < sims.size(); ++g)
+        cycles += sims[g].cycles + static_cast<double>(batch - 1) *
+                                       steady_intervals[g];
     return cycles;
 }
 
@@ -97,7 +99,7 @@ LlmExecutor::block(const models::BlockShapes &shapes)
     }
 
     // Compile + simulate outside the lock so concurrent *distinct*
-    // shapes overlap (run() warms prefill and decode together).
+    // shapes overlap (cachedBlocks() fans misses out together).
     ++compile_count_;
     auto compiled = std::make_unique<CompiledBlock>();
     try {
@@ -107,6 +109,9 @@ LlmExecutor::block(const models::BlockShapes &shapes)
                                               platform_, options_);
         compiled->sims = sim::simulateAll(
             compiled->compile.design.components);
+        for (const auto &group : compiled->sims)
+            compiled->steady_intervals.push_back(
+                sim::steadyIntervalCycles(group));
     } catch (...) {
         // Unblock waiters before propagating; they will retry the
         // compile themselves.
@@ -125,6 +130,33 @@ LlmExecutor::block(const models::BlockShapes &shapes)
     compiling_.erase(shapes);
     compile_done_.notify_all();
     return *pos->second;
+}
+
+std::vector<const CompiledBlock *>
+LlmExecutor::cachedBlocks(const std::vector<models::BlockShapes> &shapes)
+{
+    std::vector<const CompiledBlock *> blocks(shapes.size(), nullptr);
+    std::vector<size_t> misses;
+    {
+        std::lock_guard<std::mutex> lock(cache_mutex_);
+        for (size_t i = 0; i < shapes.size(); ++i) {
+            auto it = cache_.find(shapes[i]);
+            if (it != cache_.end())
+                blocks[i] = it->second.get();
+            else
+                misses.push_back(i);
+        }
+    }
+    // Entries are never evicted, so the hits stay valid while the
+    // misses compile concurrently on the pool shared with the
+    // simulator's per-group parallelism.
+    if (!misses.empty())
+        support::ThreadPool::shared().run(
+            static_cast<int64_t>(misses.size()), [&](int64_t k) {
+                size_t i = misses[static_cast<size_t>(k)];
+                blocks[i] = &block(shapes[i]);
+            });
+    return blocks;
 }
 
 double
@@ -158,19 +190,11 @@ LlmExecutor::run(int64_t input_len, int64_t output_len)
     int64_t mid_kv = input_len + std::max<int64_t>(output_len / 2,
                                                    1);
 
-    // Warm the two block shapes of this request concurrently on
-    // the pool shared with the simulator's per-group parallelism
-    // (each block() below is then a cache hit).
-    const models::BlockShapes request_shapes[2] = {
-        models::prefillShapes(input_len),
-        models::decodeShapes(mid_kv)};
-    support::ThreadPool::shared().run(2, [&](int64_t i) {
-        (void)block(request_shapes[i]);
-    });
+    auto blocks = cachedBlocks({models::prefillShapes(input_len),
+                                models::decodeShapes(mid_kv)});
 
     // --- Prefill: one trigger per layer at seq = input length.
-    const CompiledBlock &prefill =
-        block(models::prefillShapes(input_len));
+    const CompiledBlock &prefill = *blocks[0];
     result.block_prefill_ms =
         prefill.totalCycles() / freq_hz * 1e3;
     result.deadlock |= prefill.deadlocked();
@@ -183,8 +207,7 @@ LlmExecutor::run(int64_t input_len, int64_t output_len)
         (result.block_prefill_ms + overhead_ms(1));
 
     // --- Decode: simulate at the run's mean context length.
-    const CompiledBlock &decode =
-        block(models::decodeShapes(mid_kv));
+    const CompiledBlock &decode = *blocks[1];
     result.block_decode_ms = decode.totalCycles() / freq_hz * 1e3;
     result.deadlock |= decode.deadlocked();
 
@@ -251,12 +274,7 @@ LlmExecutor::step(const std::vector<StepGroup> &groups)
     shapes.reserve(merged.size());
     for (const auto &[s, count] : merged)
         shapes.push_back(s);
-
-    // Warm every shape of this step concurrently on the shared
-    // pool (each block() below is then a cache hit).
-    support::ThreadPool::shared().run(
-        static_cast<int64_t>(shapes.size()),
-        [&](int64_t i) { (void)block(shapes[i]); });
+    auto blocks = cachedBlocks(shapes);
 
     // Per layer, each group is one trigger: its batch streams
     // through the block pipeline back-to-back with the layer's
@@ -265,8 +283,9 @@ LlmExecutor::step(const std::vector<StepGroup> &groups)
     // step's sequences in flight.
     StepResult result;
     double freq_hz = platform_.freq_mhz * 1e6;
+    size_t i = 0;
     for (const auto &[s, count] : merged) {
-        const CompiledBlock &blk = block(s);
+        const CompiledBlock &blk = *blocks[i++];
         result.deadlock = result.deadlock || blk.deadlocked();
         result.kv_tokens += count * s.kv_len;
         double trigger_ms =

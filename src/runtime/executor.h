@@ -67,11 +67,17 @@ struct CompiledBlock
     compiler::CompileResult compile;
     std::vector<sim::SimResult> sims;
 
+    /** sim::steadyIntervalCycles(sims[g]) per group, computed once
+     *  when LlmExecutor::block() builds the entry, so costing a
+     *  batch never rescans the groups' components. */
+    std::vector<double> steady_intervals;
+
     /** Sequential-group makespan in cycles. */
     double totalCycles() const;
 
     /** Makespan of @p batch back-to-back triggers of this block
-     *  with weights resident (sim::batchedCycles per group). */
+     *  with weights resident: per group, the expression
+     *  sim::batchedCycles evaluates, over the cached intervals. */
     double batchedCycles(int64_t batch) const;
 
     /** True when any group deadlocked or timed out (either way the
@@ -126,16 +132,18 @@ class LlmExecutor
     const hls::FpgaPlatform &platform() const { return platform_; }
 
     /** Compile (or fetch) the block at the given shapes.
-     *  Thread-safe: run() warms the prefill and decode entries
-     *  concurrently on the pool shared with the simulator
-     *  (support::ThreadPool::shared()). Concurrent calls for the
-     *  *same* shapes dedupe against an in-flight set: the first
-     *  caller compiles, later callers block until the entry lands,
-     *  so compileCount() counts unique shapes even under a
+     *  Thread-safe: run() and step() compile their cache misses
+     *  concurrently through this call on the pool shared with the
+     *  simulator (support::ThreadPool::shared()). Concurrent calls
+     *  for the *same* shapes dedupe against an in-flight set: the
+     *  first caller compiles, later callers block until the entry
+     *  lands, so compileCount() counts unique shapes even under a
      *  threaded warm race (pinned by the runtime suite). */
     const CompiledBlock &block(const models::BlockShapes &shapes);
 
-    /** Run one request end to end. */
+    /** Run one request end to end. Its prefill and decode blocks
+     *  are looked up together; only missing ones are compiled,
+     *  concurrently on the shared pool. */
     LlmRunResult run(int64_t input_len, int64_t output_len);
 
     /** First-token instant of a cold-start prefill gated on weight
@@ -158,8 +166,10 @@ class LlmExecutor
      *  trigger whose batch members stream back-to-back with
      *  weights resident (CompiledBlock::batchedCycles), so the
      *  weight-streaming cost that dominates decode amortises over
-     *  the batch. Warms all distinct shapes concurrently on the
-     *  shared pool before costing. */
+     *  the batch. All distinct shapes are looked up under one
+     *  cache lock; only misses are compiled, concurrently on the
+     *  shared pool, so a step on cached blocks is a few additions
+     *  on the calling thread. Thread-safe. */
     StepResult step(const std::vector<StepGroup> &groups);
 
     /** Compiles performed so far (cache misses). Serving-bucket
@@ -168,6 +178,12 @@ class LlmExecutor
     int64_t compileCount() const { return compile_count_; }
 
   private:
+    /** The blocks of @p shapes, in order: hits resolved under one
+     *  cache_mutex_ pass, misses compiled through block() on the
+     *  shared pool (so the in-flight dedupe still applies). */
+    std::vector<const CompiledBlock *>
+    cachedBlocks(const std::vector<models::BlockShapes> &shapes);
+
     models::LlmConfig config_;
     hls::FpgaPlatform platform_;
     compiler::CompileOptions options_;

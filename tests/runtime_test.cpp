@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <map>
+#include <random>
 #include <thread>
 
 #include "support/error.h"
@@ -19,6 +23,89 @@ gpt2Executor()
     static runtime::LlmExecutor executor(models::gpt2Config(),
                                          hls::u55c());
     return executor;
+}
+
+uint64_t
+bitsOf(double v)
+{
+    uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+/** Every StepResult field as raw bits, so a comparison catches a
+ *  last-ulp drift that EXPECT_DOUBLE_EQ forgives. */
+std::vector<uint64_t>
+stepBits(const runtime::StepResult &r)
+{
+    return {bitsOf(r.step_ms), bitsOf(r.crossing_stall_ms),
+            static_cast<uint64_t>(r.crossings),
+            static_cast<uint64_t>(r.kv_tokens),
+            static_cast<uint64_t>(r.deadlock)};
+}
+
+/** Step cost summed straight from each block's per-group
+ *  SimResults with sim::batchedCycles, merging shapes in map
+ *  order; the invocation overhead mirrors executor.cpp. Looks
+ *  blocks up with block(), so @p executor must be warm on every
+ *  shape of @p groups. */
+runtime::StepResult
+referenceStep(runtime::LlmExecutor &executor,
+              const std::vector<runtime::StepGroup> &groups)
+{
+    std::map<models::BlockShapes, int64_t> merged;
+    int64_t total_seqs = 0;
+    for (const auto &g : groups) {
+        merged[g.shapes] += g.count;
+        total_seqs += g.count;
+    }
+    const auto &platform = executor.platform();
+    double freq_hz = platform.freq_mhz * 1e6;
+    double overhead_ms =
+        platform.invocation_overhead_us *
+        (0.55 + 0.45 / (1.0 + total_seqs / 96.0)) / 1e3;
+    int64_t layers = executor.config().layers;
+    runtime::StepResult r;
+    for (const auto &[shapes, count] : merged) {
+        const auto &blk = executor.block(shapes);
+        double cycles = 0.0;
+        double stall = 0.0;
+        for (const auto &s : blk.sims) {
+            cycles += sim::batchedCycles(s, count);
+            stall += s.crossing_stall_cycles;
+            r.crossings += s.crossing_channels;
+            r.deadlock = r.deadlock || s.deadlock || s.timed_out;
+        }
+        r.kv_tokens += count * shapes.kv_len;
+        r.step_ms += layers * (cycles / freq_hz * 1e3 + overhead_ms);
+        r.crossing_stall_ms += layers * stall / freq_hz * 1e3;
+    }
+    return r;
+}
+
+/** Shapes the randomized step tests draw from: prefill and decode,
+ *  with two decode shapes sharing a kv_len with a prefill one. */
+std::vector<models::BlockShapes>
+stepShapePool()
+{
+    return {models::prefillShapes(16), models::prefillShapes(48),
+            models::decodeShapes(48), models::decodeShapes(96),
+            models::decodeShapes(16)};
+}
+
+/** A seeded random step over stepShapePool(): 1-6 groups (shapes
+ *  may repeat), counts 1-8. */
+std::vector<runtime::StepGroup>
+randomStep(std::mt19937_64 &rng)
+{
+    auto pool = stepShapePool();
+    std::uniform_int_distribution<size_t> pick(0, pool.size() - 1);
+    std::uniform_int_distribution<int64_t> groups(1, 6);
+    std::uniform_int_distribution<int64_t> count(1, 8);
+    std::vector<runtime::StepGroup> step;
+    for (int64_t n = groups(rng); n > 0; --n)
+        step.push_back({pool[pick(rng)], count(rng)});
+    return step;
 }
 
 } // namespace
@@ -221,6 +308,20 @@ TEST(CompiledBlock, BatchedCyclesGrowLinearlyAtSteadyInterval)
         EXPECT_GT(interval, 0.0);
         EXPECT_LE(interval, s.cycles);
     }
+    // The intervals block() cached are the simulator's own, and
+    // the cached sum matches sim::batchedCycles bit for bit.
+    ASSERT_EQ(blk.steady_intervals.size(), blk.sims.size());
+    for (size_t g = 0; g < blk.sims.size(); ++g)
+        EXPECT_EQ(bitsOf(blk.steady_intervals[g]),
+                  bitsOf(sim::steadyIntervalCycles(blk.sims[g])))
+            << "group " << g;
+    for (int64_t batch = 1; batch <= 8; ++batch) {
+        double expect = 0.0;
+        for (const auto &s : blk.sims)
+            expect += sim::batchedCycles(s, batch);
+        EXPECT_EQ(bitsOf(blk.batchedCycles(batch)), bitsOf(expect))
+            << "batch " << batch;
+    }
     EXPECT_THROW(blk.batchedCycles(0), FatalError);
 }
 
@@ -257,6 +358,88 @@ TEST(Executor, WarmRaceCompilesOnce)
     // A third call is a pure cache hit.
     executor.block(shapes);
     EXPECT_EQ(executor.compileCount(), 1);
+}
+
+TEST(Executor, StepHitsMatchMissesBitForBit)
+{
+    // A cold executor compiles each step's shapes on the pool; a
+    // warm one only looks them up. Both must cost every step with
+    // the same bits, whatever the group order, and match the
+    // reference summed from the simulator's per-group results.
+    runtime::LlmExecutor warm(models::gpt2Config(), hls::u55c());
+    for (const auto &shapes : stepShapePool())
+        (void)warm.block(shapes);
+    int64_t warm_compiles = warm.compileCount();
+
+    std::mt19937_64 rng(20251018);
+    for (int trial = 0; trial < 24; ++trial) {
+        auto groups = randomStep(rng);
+        auto shuffled = groups;
+        std::shuffle(shuffled.begin(), shuffled.end(), rng);
+
+        runtime::LlmExecutor cold(models::gpt2Config(),
+                                  hls::u55c());
+        auto miss = stepBits(cold.step(groups));
+        EXPECT_GT(cold.compileCount(), 0) << "trial " << trial;
+        auto hit = stepBits(warm.step(shuffled));
+        auto expect = stepBits(referenceStep(warm, groups));
+        EXPECT_EQ(miss, hit) << "trial " << trial;
+        EXPECT_EQ(hit, expect) << "trial " << trial;
+    }
+    EXPECT_EQ(warm.compileCount(), warm_compiles);
+}
+
+TEST(Executor, StepCompilesOnlyItsMisses)
+{
+    runtime::LlmExecutor executor(models::gpt2Config(),
+                                  hls::u55c());
+    (void)executor.step({{models::decodeShapes(64), 1}});
+    ASSERT_EQ(executor.compileCount(), 1);
+    std::vector<runtime::StepGroup> groups = {
+        {models::decodeShapes(64), 2},
+        {models::prefillShapes(32), 1},
+        {models::decodeShapes(128), 3}};
+    auto first = executor.step(groups);
+    EXPECT_EQ(executor.compileCount(), 3);
+    auto again = executor.step(groups);
+    EXPECT_EQ(executor.compileCount(), 3);
+    EXPECT_EQ(stepBits(first), stepBits(again));
+}
+
+TEST(Executor, ConcurrentHitStepsMatchSerial)
+{
+    runtime::LlmExecutor executor(models::gpt2Config(),
+                                  hls::u55c());
+    for (const auto &shapes : stepShapePool())
+        (void)executor.block(shapes);
+    int64_t compiles = executor.compileCount();
+
+    std::mt19937_64 rng(7);
+    std::vector<std::vector<runtime::StepGroup>> steps;
+    std::vector<std::vector<uint64_t>> serial;
+    for (int i = 0; i < 20; ++i) {
+        steps.push_back(randomStep(rng));
+        serial.push_back(stepBits(executor.step(steps.back())));
+    }
+
+    constexpr int kThreads = 4;
+    constexpr int kSteps = 500;
+    std::vector<int> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < kSteps; ++i) {
+                size_t k = static_cast<size_t>(i + t) % steps.size();
+                if (stepBits(executor.step(steps[k])) != serial[k])
+                    ++mismatches[static_cast<size_t>(t)];
+            }
+        });
+    for (auto &thread : threads)
+        thread.join();
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0)
+            << "thread " << t;
+    EXPECT_EQ(executor.compileCount(), compiles);
 }
 
 TEST(Executor, GatedPrefillMatchesUngatedWhenWeightsResident)
