@@ -16,12 +16,6 @@ namespace serving {
 
 namespace {
 
-double
-quietNan()
-{
-    return std::numeric_limits<double>::quiet_NaN();
-}
-
 /** One request waiting in the fleet's retry buffer: a failover
  *  waiting out its backoff, a drain hand-off, or an arrival parked
  *  because no replica was eligible. */
@@ -494,7 +488,6 @@ struct FleetRun
                                     (a.at_ms == b.at_ms &&
                                      a.id < b.id);
                          });
-        ++fm.record_revision;
         fm.makespan_ms = now;
     }
 
@@ -619,21 +612,9 @@ FleetMetrics::servedRequestsPerSecond() const
 double
 FleetMetrics::latencyPercentileMs(double p) const
 {
-    if (!records_complete)
-        return latency_sketch.quantile(p).value_or(quietNan());
-    std::pair<int64_t, int64_t> key{
-        record_revision, static_cast<int64_t>(requests.size())};
-    if (sorted_latencies_key_ != key) {
-        sorted_latencies_.clear();
-        sorted_latencies_.reserve(requests.size());
-        for (const auto &r : requests)
-            sorted_latencies_.push_back(r.latencyMs());
-        std::sort(sorted_latencies_.begin(),
-                  sorted_latencies_.end());
-        sorted_latencies_key_ = key;
-    }
-    return percentileOfSorted(sorted_latencies_, p)
-        .value_or(quietNan());
+    return recordPercentileMs(requests, records_complete,
+                              latency_sketch,
+                              &RequestMetrics::latencyMs, p);
 }
 
 FleetScheduler::FleetScheduler(FleetOptions options,

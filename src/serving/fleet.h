@@ -80,7 +80,6 @@
 #define STREAMTENSOR_SERVING_FLEET_H
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "serving/fault.h"
@@ -236,26 +235,11 @@ struct FleetMetrics
 
     double servedRequestsPerSecond() const;
 
-    /** Monotone mutation counter for `requests`: the fleet bumps
-     *  it whenever it appends or reorders records (the
-     *  finalize-time merge); code mutating `requests` from
-     *  outside should too. Half of the percentile-cache key —
-     *  see latencyPercentileMs(). */
-    int64_t record_revision = 0;
-
     /** Fleet-wide latency percentile (nearest rank); NaN when no
-     *  request completed. Exact (sorted once, cached across
-     *  queries) while records_complete; a sketch estimate within
-     *  the documented rank error (quantile_sketch.h) otherwise.
-     *  The cache keys on (record_revision, requests.size()), so a
-     *  query before a later merge — the fleet merge path — always
-     *  re-answers from the updated window. */
+     *  request completed. Exact (an O(n log n) sort per query)
+     *  while records_complete; a sketch estimate within the
+     *  documented rank error (quantile_sketch.h) otherwise. */
     double latencyPercentileMs(double p) const;
-
-  private:
-    mutable std::vector<double> sorted_latencies_;
-    mutable std::pair<int64_t, int64_t> sorted_latencies_key_{-1,
-                                                              -1};
 };
 
 /** Outcome of one fleet run. */

@@ -3,50 +3,51 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "support/error.h"
 
 namespace streamtensor {
 namespace serving {
 
-namespace {
-
-/** The documented sentinel of the ServingMetrics percentile
- *  accessors on an empty window. */
-double
-quietNan()
-{
-    return std::numeric_limits<double>::quiet_NaN();
-}
-
-} // namespace
-
 std::optional<double>
 percentile(std::vector<double> values, double p)
 {
-    std::sort(values.begin(), values.end());
-    return percentileOfSorted(values, p);
-}
-
-std::optional<double>
-percentileOfSorted(const std::vector<double> &sorted, double p)
-{
     ST_CHECK(p >= 0.0 && p <= 100.0, "percentile domain");
-    if (sorted.empty())
+    if (values.empty())
         return std::nullopt;
+    std::sort(values.begin(), values.end());
     // Nearest rank: smallest value with at least p% of the sample
     // at or below it.
-    auto n = static_cast<double>(sorted.size());
+    auto n = static_cast<double>(values.size());
     auto rank = static_cast<int64_t>(std::ceil(p / 100.0 * n));
     rank = std::max<int64_t>(rank, 1);
-    return sorted[static_cast<size_t>(rank - 1)];
+    return values[static_cast<size_t>(rank - 1)];
+}
+
+double
+recordPercentileMs(const std::vector<RequestMetrics> &records,
+                   bool records_complete,
+                   const QuantileSketch &sketch,
+                   double (RequestMetrics::*metric)() const,
+                   double p)
+{
+    // The documented sentinel of the percentile accessors on an
+    // empty window.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    if (!records_complete)
+        return sketch.quantile(p).value_or(nan);
+    std::vector<double> values;
+    values.reserve(records.size());
+    for (const auto &r : records)
+        values.push_back((r.*metric)());
+    return percentile(std::move(values), p).value_or(nan);
 }
 
 void
 ServingMetrics::recordCompletion(const RequestMetrics &done,
                                  const MetricsOptions &options)
 {
-    ++record_revision_; // every completion invalidates the caches
     ++completed;
     total_output_tokens += done.output_len;
     if (done.missedDeadline())
@@ -55,8 +56,11 @@ ServingMetrics::recordCompletion(const RequestMetrics &done,
     latency_sketch.add(done.latencyMs());
     ttft_sketch.add(done.ttftMs());
     ttft_sum_ms += done.ttftMs();
-    // The decode-window sum mirrors tbtMeanMs()'s invariant: a
-    // single-token request must have an empty window.
+    // A single-token request has zero decode gaps, so a nonzero
+    // decode window would silently inflate tbtMeanMs() for every
+    // other request. Such a window is impossible by construction
+    // (the request finishes at its prefill step); make the
+    // impossibility loud.
     ST_ASSERT(done.output_len > 1 ||
                   done.finish_ms == done.first_token_ms,
               "single-token request with a decode window");
@@ -116,39 +120,17 @@ ServingMetrics::meanBatchSize() const
 double
 ServingMetrics::ttftMeanMs() const
 {
-    // The exact record loop is kept while records are complete so
-    // results stay bit-identical to the pre-streaming accessors
-    // (same floating-point summation order); the running sum only
-    // answers when the records are gone.
-    if (!records_complete)
-        return completed > 0
-                   ? ttft_sum_ms / static_cast<double>(completed)
-                   : 0.0;
-    if (requests.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (const auto &r : requests)
-        sum += r.ttftMs();
-    return sum / static_cast<double>(requests.size());
+    return completed > 0
+               ? ttft_sum_ms / static_cast<double>(completed)
+               : 0.0;
 }
 
 double
 ServingMetrics::ttftP95Ms() const
 {
-    if (!records_complete)
-        return ttft_sketch.quantile(95.0).value_or(quietNan());
-    std::pair<int64_t, int64_t> key{
-        record_revision_, static_cast<int64_t>(requests.size())};
-    if (sorted_ttfts_key_ != key) {
-        sorted_ttfts_.clear();
-        sorted_ttfts_.reserve(requests.size());
-        for (const auto &r : requests)
-            sorted_ttfts_.push_back(r.ttftMs());
-        std::sort(sorted_ttfts_.begin(), sorted_ttfts_.end());
-        sorted_ttfts_key_ = key;
-    }
-    return percentileOfSorted(sorted_ttfts_, 95.0)
-        .value_or(quietNan());
+    return recordPercentileMs(requests, records_complete,
+                              ttft_sketch, &RequestMetrics::ttftMs,
+                              95.0);
 }
 
 double
@@ -173,46 +155,17 @@ ServingMetrics::prefixHitRate() const
 double
 ServingMetrics::tbtMeanMs() const
 {
-    if (!records_complete)
-        return decode_gaps > 0
-                   ? decode_sum_ms /
-                         static_cast<double>(decode_gaps)
-                   : 0.0;
-    double decode_ms = 0.0;
-    int64_t gaps = 0;
-    for (const auto &r : requests) {
-        // A single-token request has zero decode gaps, so a
-        // nonzero decode window would silently inflate the mean
-        // of every other request. Such a window is impossible by
-        // construction (the request finishes at its prefill
-        // step); make the impossibility loud.
-        ST_ASSERT(r.output_len > 1 ||
-                      r.finish_ms == r.first_token_ms,
-                  "single-token request with a decode window");
-        decode_ms += r.finish_ms - r.first_token_ms;
-        gaps += r.output_len - 1;
-    }
-    return gaps > 0 ? decode_ms / static_cast<double>(gaps) : 0.0;
+    return decode_gaps > 0
+               ? decode_sum_ms / static_cast<double>(decode_gaps)
+               : 0.0;
 }
 
 double
 ServingMetrics::latencyPercentileMs(double p) const
 {
-    if (!records_complete)
-        return latency_sketch.quantile(p).value_or(quietNan());
-    std::pair<int64_t, int64_t> key{
-        record_revision_, static_cast<int64_t>(requests.size())};
-    if (sorted_latencies_key_ != key) {
-        sorted_latencies_.clear();
-        sorted_latencies_.reserve(requests.size());
-        for (const auto &r : requests)
-            sorted_latencies_.push_back(r.latencyMs());
-        std::sort(sorted_latencies_.begin(),
-                  sorted_latencies_.end());
-        sorted_latencies_key_ = key;
-    }
-    return percentileOfSorted(sorted_latencies_, p)
-        .value_or(quietNan());
+    return recordPercentileMs(requests, records_complete,
+                              latency_sketch,
+                              &RequestMetrics::latencyMs, p);
 }
 
 double

@@ -19,9 +19,12 @@
  * which point the accessors answer from streaming state instead —
  * a deterministic QuantileSketch per latency/TTFT plus running
  * sums — making a 10M-request run O(sketch) memory. The
- * `records_complete` flag says which regime a result is in; exact
- * queries on complete records now sort once into a cache instead
- * of once per query (see percentile()).
+ * `records_complete` flag says which regime a result is in. The
+ * means always answer from the running sums (recordCompletion()
+ * adds to them in the order it appends records, so they equal a
+ * loop over the records bit for bit); an exact percentile sorts a
+ * fresh projection of the records per query (see
+ * recordPercentileMs()), so no stored sorted state can go stale.
  *
  * **Partial-run accounting.** When a run stops at the step limit
  * (`ServingResult::hit_step_limit`), `requests` holds only the
@@ -41,7 +44,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "serving/quantile_sketch.h"
@@ -119,7 +121,7 @@ struct RequestMetrics
 
     /** Mean gap between output tokens after the first. Zero for
      *  single-token outputs (which must finish at their first
-     *  token — asserted by tbtMeanMs()). */
+     *  token — asserted by ServingMetrics::recordCompletion()). */
     double tbtMs() const
     {
         return output_len > 1 ? (finish_ms - first_token_ms) /
@@ -134,21 +136,23 @@ struct RequestMetrics
  *  percentile of 0.0, and callers that want a sentinel must pick
  *  one explicitly (the ServingMetrics accessors document NaN).
  *
- *  Takes the sample by value and sorts it: O(n log n) per call,
- *  deliberately — it is the one-shot convenience entry point.
- *  Callers querying several percentiles of the same sample sort
- *  once and use percentileOfSorted() (the ServingMetrics
- *  accessors do, via a cached sorted view); callers with millions
- *  of samples should not be holding them at all (QuantileSketch /
- *  MetricsOptions). */
+ *  Takes the sample by value and sorts it: O(n log n) per call.
+ *  Callers with millions of samples should not be holding them at
+ *  all (QuantileSketch / MetricsOptions). */
 std::optional<double> percentile(std::vector<double> values,
                                  double p);
 
-/** Nearest-rank percentile of an already ascending-sorted sample:
- *  O(1), same convention and empty-set contract as
- *  percentile(). */
-std::optional<double>
-percentileOfSorted(const std::vector<double> &sorted, double p);
+/** Percentile @p p of one per-record metric (@p metric, e.g.
+ *  &RequestMetrics::latencyMs): exact — percentile() over that
+ *  projection of @p records — while @p records_complete, @p
+ *  sketch's estimate otherwise; NaN on an empty window. The one
+ *  path behind every ServingMetrics / FleetMetrics percentile
+ *  accessor. */
+double recordPercentileMs(const std::vector<RequestMetrics> &records,
+                          bool records_complete,
+                          const QuantileSketch &sketch,
+                          double (RequestMetrics::*metric)() const,
+                          double p);
 
 /** Aggregated result of one serving run. */
 struct ServingMetrics
@@ -229,8 +233,9 @@ struct ServingMetrics
     QuantileSketch latency_sketch;
     QuantileSketch ttft_sketch;
 
-    /** Running sums backing the mean accessors without records:
-     *  Σ ttftMs, Σ (finish − first token), Σ (output_len − 1). */
+    /** Running sums behind the mean accessors in every retention
+     *  mode: Σ ttftMs, Σ (finish − first token),
+     *  Σ (output_len − 1). */
     double ttft_sum_ms = 0.0;
     double decode_sum_ms = 0.0;
     int64_t decode_gaps = 0;
@@ -291,34 +296,15 @@ struct ServingMetrics
     /** Token-weighted mean time-between-tokens over completed
      *  requests. Single-token requests contribute no gaps; their
      *  decode window must be empty (finish == first token), which
-     *  this asserts rather than silently folding a nonzero window
-     *  into the mean. */
+     *  recordCompletion() asserts rather than silently folding a
+     *  nonzero window into the mean. */
     double tbtMeanMs() const;
 
     /** Request latency percentile (nearest rank). NaN when no
-     *  request completed. Exact — O(1) after a one-time
-     *  O(n log n) sort cached across queries — while
-     *  records_complete; a sketch estimate within the documented
-     *  rank error otherwise. The cache keys on
-     *  (record revision, requests.size()): recordCompletion bumps
-     *  the revision on every completion, so a query followed by
-     *  more completions always re-answers from the updated window
-     *  — keying on size alone would miss any size-preserving
-     *  mutation (regression-tested query-record-query). */
+     *  request completed. Exact — an O(n log n) sort per query —
+     *  while records_complete; a sketch estimate within the
+     *  documented rank error otherwise. */
     double latencyPercentileMs(double p) const;
-
-  private:
-    /** Monotone mutation counter bumped by every
-     *  recordCompletion(); half of the percentile-cache key. */
-    int64_t record_revision_ = 0;
-
-    /** Sorted-sample caches behind the exact percentile path,
-     *  rebuilt whenever the (revision, size) key moves. */
-    mutable std::vector<double> sorted_latencies_;
-    mutable std::vector<double> sorted_ttfts_;
-    mutable std::pair<int64_t, int64_t> sorted_latencies_key_{-1,
-                                                              -1};
-    mutable std::pair<int64_t, int64_t> sorted_ttfts_key_{-1, -1};
 };
 
 } // namespace serving

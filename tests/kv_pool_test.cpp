@@ -321,10 +321,12 @@ TEST_P(PoolProperty, ShadowModelAgreesEveryOp)
             // Outcome bounds: demand within the free list must
             // succeed; demand beyond everything reclaimable must
             // fail.
-            if (missing <= free_before)
+            if (missing <= free_before) {
                 EXPECT_TRUE(grew);
-            if (missing > avail_before)
+            }
+            if (missing > avail_before) {
                 EXPECT_FALSE(grew);
+            }
             if (grew) {
                 seq.tokens = prompt;
                 shadow[id] = seq;
@@ -347,10 +349,12 @@ TEST_P(PoolProperty, ShadowModelAgreesEveryOp)
             int64_t free_before = pool.freePages();
             int64_t avail_before = pool.availablePages();
             bool grew = pool.grow(it->first, target);
-            if (missing <= free_before)
+            if (missing <= free_before) {
                 EXPECT_TRUE(grew);
-            if (missing > avail_before)
+            }
+            if (missing > avail_before) {
                 EXPECT_FALSE(grew);
+            }
             if (grew) {
                 it->second.tokens = target;
             } else {
@@ -385,8 +389,9 @@ TEST_P(PoolProperty, ShadowModelAgreesEveryOp)
 
     // The suite is only meaningful if pressure occurred somewhere;
     // most seeds overflow a 6-40 page pool within 400 ops.
-    if (total_pages <= 12)
+    if (total_pages <= 12) {
         EXPECT_GT(failed_grows, 0);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PoolProperty,

@@ -577,9 +577,10 @@ checkFleetInvariants(const FleetSeededRun &run)
         EXPECT_EQ(appearances[id], by_id.at(id).output_len)
             << "token count drifted across failovers: " << id;
     for (const auto &[id, count] : appearances)
-        if (!completed_ids.count(id))
+        if (!completed_ids.count(id)) {
             EXPECT_LT(count, by_id.at(id).output_len)
                 << "uncompleted request over-ran: " << id;
+        }
 
     // --- No committed step on a downed replica: every step
     // record fits outside its replica's down windows (a step may
@@ -662,9 +663,10 @@ TEST_P(FleetProperty, InvariantsHoldUnderFaults)
     auto faulted = fleetAppearances(run.result);
     auto baseline = fleetAppearances(calm.result);
     for (const auto &r : run.result.metrics.requests)
-        if (baseline.count(r.id))
+        if (baseline.count(r.id)) {
             EXPECT_EQ(faulted[r.id], baseline[r.id])
                 << "faulted token count diverged: " << r.id;
+        }
 }
 
 TEST_P(FleetProperty, FaultedRunsReplayBitIdentically)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "models/bucketing.h"
 #include "serving/cost_model.h"
@@ -56,6 +57,14 @@ makeRequest(int64_t id, double arrival_ms, int64_t input_len,
     r.output_len = output_len;
     r.priority = priority;
     return r;
+}
+
+uint64_t
+bitsOf(double v)
+{
+    uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
 }
 
 serving::SchedulerOptions
@@ -845,7 +854,10 @@ TEST(Metrics, TbtMeanSkipsSingleTokenRequests)
     single.output_len = 1;
     single.first_token_ms = 5.0;
     single.finish_ms = 5.0; // no decode window, by construction
-    m.requests = {multi, single};
+    serving::MetricsOptions keep;
+    keep.keep_records = serving::MetricsOptions::KeepRecords::Always;
+    m.recordCompletion(multi, keep);
+    m.recordCompletion(single, keep);
     // 20 ms over 2 gaps; the single-token request contributes
     // neither window nor gaps.
     EXPECT_DOUBLE_EQ(m.tbtMeanMs(), 10.0);
@@ -861,8 +873,63 @@ TEST(Metrics, TbtMeanRefusesSingleTokenDecodeWindow)
     bad.output_len = 1;
     bad.first_token_ms = 5.0;
     bad.finish_ms = 9.0;
-    m.requests = {bad};
-    EXPECT_THROW(m.tbtMeanMs(), PanicError);
+    EXPECT_THROW(m.recordCompletion(bad, serving::MetricsOptions{}),
+                 PanicError);
+}
+
+TEST(Metrics, MeansAndPercentilesIndependentOfRetention)
+{
+    // The means answer from the running sums in every retention
+    // mode; they must equal, bit for bit, a loop over the kept
+    // records in finish order, and must not move when the records
+    // are dropped.
+    serving::TraceOptions trace_options;
+    trace_options.num_requests = 300;
+    trace_options.seed = 7;
+    trace_options.mean_interarrival_ms = 2.0;
+    trace_options.num_priorities = 2;
+    auto trace = serving::burstyTrace(trace_options);
+    auto serve = [&](serving::MetricsOptions::KeepRecords keep) {
+        serving::AnalyticCostModel cost;
+        serving::SchedulerOptions options =
+            recordingOptions(8, 4096);
+        options.metrics.keep_records = keep;
+        serving::Scheduler scheduler(options, cost);
+        return scheduler.run(trace).metrics;
+    };
+    auto kept = serve(serving::MetricsOptions::KeepRecords::Always);
+    auto dropped = serve(serving::MetricsOptions::KeepRecords::Never);
+    ASSERT_TRUE(kept.records_complete);
+    ASSERT_FALSE(dropped.records_complete);
+    ASSERT_GT(kept.completed, 0);
+    ASSERT_EQ(kept.requests.size(),
+              static_cast<size_t>(kept.completed));
+    EXPECT_EQ(dropped.completed, kept.completed);
+    EXPECT_TRUE(dropped.requests.empty());
+
+    double ttft_sum = 0.0;
+    double decode_ms = 0.0;
+    int64_t gaps = 0;
+    for (const auto &r : kept.requests) {
+        ttft_sum += r.ttftMs();
+        decode_ms += r.finish_ms - r.first_token_ms;
+        gaps += r.output_len - 1;
+    }
+    ASSERT_GT(gaps, 0);
+    EXPECT_EQ(bitsOf(kept.ttftMeanMs()),
+              bitsOf(ttft_sum / static_cast<double>(kept.completed)));
+    EXPECT_EQ(bitsOf(kept.tbtMeanMs()),
+              bitsOf(decode_ms / static_cast<double>(gaps)));
+    EXPECT_EQ(bitsOf(dropped.ttftMeanMs()),
+              bitsOf(kept.ttftMeanMs()));
+    EXPECT_EQ(bitsOf(dropped.tbtMeanMs()), bitsOf(kept.tbtMeanMs()));
+
+    // 300 completions stay below one sketch compaction (k = 512),
+    // so the sketch fallback answers the exact nearest rank too.
+    for (double p : {0.0, 50.0, 99.0, 100.0})
+        EXPECT_EQ(bitsOf(dropped.latencyPercentileMs(p)),
+                  bitsOf(kept.latencyPercentileMs(p)));
+    EXPECT_EQ(bitsOf(dropped.ttftP95Ms()), bitsOf(kept.ttftP95Ms()));
 }
 
 TEST(Scheduler, StepLimitSplitsAccountingViews)
@@ -1025,10 +1092,9 @@ TEST(Scheduler, DrainDeadlineStepLimitInteraction)
     EXPECT_EQ(cut.metrics.expired_deadline, 0);
 }
 
-// ---- Percentile-cache invalidation (metrics.h): the sorted
-// ---- caches key on (record revision, window size), so a query
-// ---- between completions — or between fleet merges — must never
-// ---- serve a stale distribution. ----
+// ---- Percentile freshness (metrics.h): a query between
+// ---- completions — or after a mutation of the fleet's merged
+// ---- records — must never serve a stale distribution. ----
 
 namespace {
 
@@ -1059,7 +1125,7 @@ TEST(ServingMetricsTest, PercentileCacheSeesLaterCompletions)
                        keep);
     m.recordCompletion(completedRecord(1, 0.0, 20.0, 20.0, 1),
                        keep);
-    // Prime both sorted caches.
+    // Query both percentiles before the next completion.
     EXPECT_DOUBLE_EQ(m.latencyPercentileMs(100.0), 20.0);
     EXPECT_DOUBLE_EQ(m.ttftP95Ms(), 20.0);
 
@@ -1074,22 +1140,18 @@ TEST(ServingMetricsTest, PercentileCacheSeesLaterCompletions)
 
 TEST(FleetMetricsTest, PercentileCacheKeysOnRevisionNotJustSize)
 {
-    // The fleet merge path mutates `requests` wholesale; the
-    // documented contract is that any such mutation bumps
-    // record_revision. A same-size content change must re-answer
-    // from the updated window — a size-keyed cache would serve
-    // the stale sort.
+    // The fleet merge path mutates `requests` wholesale. A
+    // same-size content change must re-answer from the updated
+    // window — any cache keyed on size would serve a stale sort.
     serving::FleetMetrics fm;
     fm.requests.push_back(
         completedRecord(0, 0.0, 10.0, 10.0, 1));
     fm.requests.push_back(
         completedRecord(1, 0.0, 30.0, 30.0, 1));
-    ++fm.record_revision;
     EXPECT_DOUBLE_EQ(fm.latencyPercentileMs(100.0), 30.0);
 
     fm.requests[1].finish_ms = 500.0; // same size, new content
     fm.requests[1].first_token_ms = 500.0;
-    ++fm.record_revision;
     EXPECT_DOUBLE_EQ(fm.latencyPercentileMs(100.0), 500.0);
     EXPECT_DOUBLE_EQ(fm.latencyPercentileMs(0.0), 10.0);
 }

@@ -138,8 +138,8 @@ TEST(Sim, TimeoutIsNotDeadlock)
 TEST(Sim, SimulateAllThreadedMatchesSequential)
 {
     // Three independent single-group pipelines; per-group
-    // simulation is pure, so the threaded fan-out must be bitwise
-    // identical to the sequential path.
+    // simulation is pure, so simulateAll's pool fan-out must be
+    // bitwise identical to a loop of simulateGroup.
     ComponentGraph g;
     for (int64_t grp = 0; grp < 3; ++grp) {
         Component a;
@@ -156,12 +156,10 @@ TEST(Sim, SimulateAllThreadedMatchesSequential)
         int64_t ib = g.addComponent(b);
         addChannel(g, ia, ib, 64, 4);
     }
-    sim::SimOptions sequential;
-    sequential.threads = 1;
-    sim::SimOptions threaded;
-    threaded.threads = 3;
-    auto seq = sim::simulateAll(g, sequential);
-    auto par = sim::simulateAll(g, threaded);
+    std::vector<sim::SimResult> seq;
+    for (int64_t grp = 0; grp < g.numGroups(); ++grp)
+        seq.push_back(sim::simulateGroup(g, grp));
+    auto par = sim::simulateAll(g);
     ASSERT_EQ(seq.size(), par.size());
     for (size_t i = 0; i < seq.size(); ++i) {
         EXPECT_EQ(seq[i].deadlock, par[i].deadlock);
