@@ -94,6 +94,13 @@ Pipeline::run(StageContext &ctx) const
 
 namespace {
 
+/** Initial cap on generated FIFO depths; stageMemoryAlloc lowers
+ *  it further (reduce_stream_depth) whenever the memory allocator
+ *  reports an over-budget design. Deep FIFOs are intentional:
+ *  weight streams prefetch into URAM while upstream kernels
+ *  compute. */
+constexpr int64_t kMaxFifoDepth = 65536;
+
 // --- Linalg optimization (elementwise fusion, unit-dim folding,
 // fill fusion).
 void
@@ -151,8 +158,6 @@ stageHlsOpt(StageContext &ctx)
 void
 stageDiePartition(StageContext &ctx)
 {
-    if (!ctx.options.partition_dies)
-        return;
     dataflow::ComponentGraph &cg = ctx.result.design.components;
     for (int64_t group = 0; group < cg.numGroups(); ++group) {
         ctx.result.partitions.push_back(partition::partitionGroup(
@@ -226,7 +231,6 @@ stageFifoSizing(StageContext &ctx)
         }
         token::FifoSizingOptions sizing_options;
         sizing_options.equalization = eq;
-        sizing_options.exact_occupancy = options.exact_occupancy;
         token::FifoSizingResult sized =
             token::sizeFifos(problem, sizing_options);
         for (size_t e = 0; e < edge_channels.size(); ++e) {
@@ -254,7 +258,7 @@ void
 stageMemoryAlloc(StageContext &ctx)
 {
     dataflow::ComponentGraph &cg = ctx.result.design.components;
-    int64_t depth_cap = ctx.options.max_fifo_depth;
+    int64_t depth_cap = kMaxFifoDepth;
     while (true) {
         ctx.result.clamped_fifos =
             dataflow::reduceStreamDepth(cg, depth_cap);

@@ -39,20 +39,6 @@ struct TileConfig
     interTileTrips(const linalg::OpInfo &op) const;
 };
 
-/** How the overall unroll budget is split across kernels. */
-enum class UnrollStrategy
-{
-    /** Greedy doubling of the longest-latency kernel (paper §5.1's
-     *  max-heap formulation). */
-    Heap,
-
-    /** Exact makespan-minimising allocation over power-of-two
-     *  unroll levels, solved as an ILP (one-hot level selection,
-     *  budget row, makespan variable). Falls back to Heap when the
-     *  instance is too large for exact search. */
-    Ilp,
-};
-
 /** Hyperparameters of the tiling space (tuned by the black-box
  *  optimizer with fusion feedback, paper §5.1). */
 struct TilingOptions
@@ -63,12 +49,6 @@ struct TilingOptions
      *  platform's DSP pool (U55C: 9024 DSPs). */
     int64_t overall_unroll_size = 8192;
     int64_t max_unroll_per_kernel = 2048;
-
-    UnrollStrategy unroll_strategy = UnrollStrategy::Heap;
-
-    /** Ilp strategy bails to Heap past this many one-hot binaries
-     *  (branch-and-bound stays exact but worst-case exponential). */
-    int64_t max_ilp_unroll_vars = 64;
 };
 
 /**

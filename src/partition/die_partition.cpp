@@ -13,6 +13,12 @@ namespace partition {
 
 namespace {
 
+/** Branch-and-bound node budget of the partition ILP. */
+constexpr int64_t kMaxIlpNodes = 20000;
+
+/** Weight of the ILP's resource-imbalance term against crossings. */
+constexpr double kImbalanceWeight = 0.25;
+
 /** Shared epilogue of every partitioner path: tally per-die LUTs,
  *  then stamp each group channel with the crossing flag and the
  *  platform's inter-die link cost (cleared when co-located, so
@@ -208,7 +214,7 @@ partitionGroup(dataflow::ComponentGraph &g, int64_t group,
     for (int64_t e = 0; e < m; ++e)
         for (int64_t d = 0; d < dies; ++d)
             ilp.lp().setObjective(yvar(e, d), 0.5);
-    double z_scale = options.imbalance_weight /
+    double z_scale = kImbalanceWeight /
                      std::max(total_luts / dies, 1.0);
     ilp.lp().setObjective(zvar, z_scale);
 
@@ -224,7 +230,7 @@ partitionGroup(dataflow::ComponentGraph &g, int64_t group,
     bool greedy_fits =
         !enforce_capacity || max_die_luts <= die_capacity;
     solver::IlpOptions ilp_options;
-    ilp_options.max_nodes = options.max_ilp_nodes;
+    ilp_options.max_nodes = kMaxIlpNodes;
     if (greedy_fits) {
         ilp_options.cutoff =
             static_cast<double>(greedy.crossings) +

@@ -148,8 +148,8 @@ LlmExecutor::cachedBlocks(const std::vector<models::BlockShapes> &shapes)
         }
     }
     // Entries are never evicted, so the hits stay valid while the
-    // misses compile concurrently on the pool shared with the
-    // simulator's per-group parallelism.
+    // misses compile and simulate concurrently on the shared pool,
+    // one miss per job item.
     if (!misses.empty())
         support::ThreadPool::shared().run(
             static_cast<int64_t>(misses.size()), [&](int64_t k) {

@@ -132,9 +132,9 @@ class LlmExecutor
     const hls::FpgaPlatform &platform() const { return platform_; }
 
     /** Compile (or fetch) the block at the given shapes.
-     *  Thread-safe: run() and step() compile their cache misses
-     *  concurrently through this call on the pool shared with the
-     *  simulator (support::ThreadPool::shared()). Concurrent calls
+     *  Thread-safe: run() and step() compile and simulate their
+     *  cache misses concurrently through this call on the shared
+     *  pool (support::ThreadPool::shared()). Concurrent calls
      *  for the *same* shapes dedupe against an in-flight set: the
      *  first caller compiles, later callers block until the entry
      *  lands, so compileCount() counts unique shapes even under a

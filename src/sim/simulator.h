@@ -120,10 +120,10 @@ struct SimOptions
 SimResult simulateGroup(const dataflow::ComponentGraph &g,
                         int64_t group, const SimOptions &options = {});
 
-/** Simulate every group; returns per-group results. Independent
- *  groups run in parallel on the process-wide thread pool shared
- *  with the runtime executor; each group's simulation is pure, so
- *  the results are bitwise those of a sequential loop. */
+/** Simulate every group in order; returns per-group results.
+ *  Serial: a compiled model block fuses into one group, and the
+ *  runtime executor already simulates concurrent cache misses on
+ *  its thread pool. */
 std::vector<SimResult>
 simulateAll(const dataflow::ComponentGraph &g,
             const SimOptions &options = {});

@@ -1,9 +1,8 @@
 /**
  * @file
  * A small process-wide thread pool for coarse, independent tasks:
- * the simulator fans fused groups across it (sim::simulateAll) and
- * the runtime executor reuses the same pool to compile + simulate
- * the prefill and decode block shapes concurrently.
+ * the runtime executor compiles + simulates its block-cache misses
+ * (e.g. a request's prefill and decode shapes) concurrently on it.
  *
  * Deliberately minimal: one parallel-for style job at a time
  * (concurrent top-level submitters serialize), the caller

@@ -129,10 +129,6 @@ struct FifoSizingOptions
 {
     Equalization equalization = Equalization::Normal;
 
-    /** Use the exact occupancy recurrence instead of the paper's
-     *  closed forms when deriving depths from delays. */
-    bool exact_occupancy = false;
-
     /** Cap on enumerated path constraints before falling back to
      *  the potential formulation (the dense simplex is quadratic
      *  in the constraint count; the potential solution satisfies

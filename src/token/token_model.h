@@ -74,7 +74,8 @@ class TokenCurve
  * its k-th token no earlier than the source pushed it and no
  * faster than its own II allows; this token-by-token recurrence
  * reproduces Fig. 8(a) exactly, including target starvation
- * (Fig. 8(e)).
+ * (Fig. 8(e)). FIFO sizing uses the closed forms below; this
+ * recurrence is their reference.
  */
 int64_t maxOccupancyExact(const KernelProfile &source,
                           const KernelProfile &target, double delay,

@@ -6,6 +6,8 @@
 #include "ir/verifier.h"
 #include "linalg/builders.h"
 #include "models/block_builder.h"
+#include "models/bucketing.h"
+#include "models/llm_config.h"
 
 using namespace streamtensor;
 using ir::DataType;
@@ -224,4 +226,28 @@ TEST(Compiler, CustomCmaxSplitsDesign)
     auto result =
         compiler::compile(linalg::mlpPipeline(), hls::u55c(), options);
     EXPECT_GT(result.design.plan.groups.size(), 1u);
+}
+
+TEST(Compiler, ZooBlocksFuseIntoOneGroup)
+{
+    // sim::simulateAll loops over groups serially because every
+    // zoo block fuses into a single accelerator: every model, every
+    // bucket of the default ladder, prefill and decode. A fusion or
+    // tiling change that splits a block fails here, and the serial
+    // loop's cost must then be re-measured.
+    models::BucketPolicy policy;
+    for (const auto &cfg : models::allConfigs()) {
+        for (int64_t b : models::bucketBoundaries(policy)) {
+            for (const auto &shapes :
+                 {models::bucketedPrefillShapes(b, policy),
+                  models::bucketedDecodeShapes(b, policy)}) {
+                auto result = compiler::compile(
+                    models::buildTransformerBlock(cfg, shapes),
+                    hls::u55c(), {});
+                EXPECT_EQ(result.design.components.numGroups(), 1)
+                    << cfg.name << " seq_len=" << shapes.seq_len
+                    << " kv_len=" << shapes.kv_len;
+            }
+        }
+    }
 }

@@ -137,9 +137,9 @@ TEST(Sim, TimeoutIsNotDeadlock)
 
 TEST(Sim, SimulateAllThreadedMatchesSequential)
 {
-    // Three independent single-group pipelines; per-group
-    // simulation is pure, so simulateAll's pool fan-out must be
-    // bitwise identical to a loop of simulateGroup.
+    // Three independent single-group pipelines; simulateAll's
+    // serial loop over groups must be bitwise identical to
+    // calling simulateGroup on each group in turn.
     ComponentGraph g;
     for (int64_t grp = 0; grp < 3; ++grp) {
         Component a;
